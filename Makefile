@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-short vet check fuzz-lockmgr fuzz-contention fuzz-contention-race fuzz-codec fuzz-lazy fuzz-snapshot fuzz-snapshot-race fuzz-adaptive fuzz-adaptive-race fuzz-2pc fuzz-2pc-race chaos chaos-race chaos-crash chaos-2pc bench bench-micro bench-json bench-readmix bench-adaptive bench-twopc
+.PHONY: build test test-race test-short test-benchmark vet check fuzz-lockmgr fuzz-contention fuzz-contention-race fuzz-codec fuzz-lazy fuzz-snapshot fuzz-snapshot-race fuzz-adaptive fuzz-adaptive-race fuzz-2pc fuzz-2pc-race chaos chaos-race chaos-crash chaos-2pc bench bench-micro bench-e2e bench-json bench-readmix bench-adaptive bench-twopc
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,11 @@ test-short:
 vet:
 	$(GO) vet ./...
 
+# benchmark/ is a module of its own, so ./... above never reaches it.
+test-benchmark:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # The default verification chain: build, vet, full tests, the full suite
 # under the race detector (the single-owner fast path's safety argument is
 # checked here every time), and two short fuzz passes: the striped interval
@@ -25,7 +30,7 @@ vet:
 # per invocation, hence separate targets; fuzz-lazy differentially checks
 # the lazy discipline (deferral + commit-time fusion) against the eager
 # oracle on identical op programs.
-check: build vet test test-race fuzz-lockmgr fuzz-contention fuzz-lazy fuzz-snapshot fuzz-adaptive fuzz-2pc
+check: build vet test test-benchmark test-race fuzz-lockmgr fuzz-contention fuzz-lazy fuzz-snapshot fuzz-adaptive fuzz-2pc
 
 fuzz-lockmgr:
 	$(GO) test -run NONE -fuzz FuzzStripedRangeLockEquivalence -fuzztime 10s ./internal/lockmgr/
@@ -107,6 +112,11 @@ chaos-2pc:
 
 bench:
 	$(GO) test -bench . -benchtime 200ms -benchmem -run NONE ./...
+
+# The repository's one end-to-end benchmark (benchmark/README.md), every
+# workload through the tboost facade: make bench-e2e ARGS="--workload bank_wal --trace 0"
+bench-e2e:
+	bash benchmark/run.sh $(ARGS)
 
 # Hot-path microbenchmarks only (Tx lifecycle, lock acquire, boosted set ops)
 # with allocation counts.

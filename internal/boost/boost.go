@@ -207,10 +207,15 @@ type Object[K comparable] struct {
 
 // Journal receives forward operation images from a boosted object. The WAL
 // implements it per object (binding the object's key codec and registered
-// ID); the kernel only routes. Emit is called from inside boosted methods,
-// after the abstract locks for the call are held.
+// ID); the kernel only routes. Begin opens one op in tx's redo stream and
+// returns the buffer that already holds key's encoding, End closes it under
+// an opcode; between the two the spec appends any payload beyond the key
+// (a map value) with its own codec, so every byte is encoded in place,
+// once. Both are called from inside boosted methods, after the abstract
+// locks for the call are held, and never interleave within one goroutine.
 type Journal[K comparable] interface {
-	Emit(tx *stm.Tx, kind uint8, key K, aux []byte)
+	Begin(tx *stm.Tx, key K) []byte
+	End(tx *stm.Tx, kind uint8, buf []byte)
 }
 
 // BindJournal attaches j to the object; every subsequent effective mutation
@@ -222,18 +227,25 @@ func (o *Object[K]) BindJournal(j Journal[K]) { o.journal = j }
 // Journaled reports whether a journal is bound.
 func (o *Object[K]) Journaled() bool { return o.journal != nil }
 
-// Emit reports one effective forward mutation to the bound journal, if any.
-// Specs call it exactly where they log the matching inverse: an op enters
-// the redo stream iff its compensation enters the undo log, which keeps the
-// two logs describing the same state delta. kind is an opcode in the
-// object's namespace; aux carries any payload beyond the key (e.g. a map
-// value), and may be retained only until Emit returns.
-func (o *Object[K]) Emit(tx *stm.Tx, kind uint8, key K, aux []byte) {
+// Emit reports one effective forward mutation whose image is its key alone
+// to the bound journal, if any. Specs call it exactly where they log the
+// matching inverse: an op enters the redo stream iff its compensation
+// enters the undo log, which keeps the two logs describing the same state
+// delta. kind is an opcode in the object's namespace.
+func (o *Object[K]) Emit(tx *stm.Tx, kind uint8, key K) {
 	if o.journal == nil {
 		return
 	}
-	o.journal.Emit(tx, kind, key, aux)
+	o.journal.End(tx, kind, o.journal.Begin(tx, key))
 }
+
+// EmitBegin and EmitEnd are Emit for an op that carries a payload after the
+// key: the spec appends it to the buffer EmitBegin returns and hands the
+// result to EmitEnd. The buffer belongs to the journal — append to it, pass
+// it on, keep nothing. Only specs that know a journal is bound call them.
+func (o *Object[K]) EmitBegin(tx *stm.Tx, key K) []byte { return o.journal.Begin(tx, key) }
+
+func (o *Object[K]) EmitEnd(tx *stm.Tx, kind uint8, buf []byte) { o.journal.End(tx, kind, buf) }
 
 // NewKeyed returns an engine with one abstract lock per key.
 func NewKeyed[K comparable]() *Object[K] {

@@ -63,6 +63,10 @@ const verStripes = 64
 // to a map, mirroring the runtime's lock-set spill.
 const verSpill = 16
 
+// verShrinkCap is the chain capacity from which a trim that leaves at most
+// a quarter in use reallocates to fit (see verChain.trim).
+const verShrinkCap = 16
+
 // verChain is one key's version history, ascending by sequence. Invariant:
 // once non-empty it never becomes empty again — trims keep at least the
 // newest entry at-or-below the bound — so a reader that observes a chain
@@ -133,7 +137,11 @@ func (s *verStripe[K]) ensure(key K) int {
 // trim drops every entry older than the newest one at-or-below bound,
 // returning how many were dropped. The newest entry at-or-below bound is
 // what any current or future pin at sequence >= bound reads; everything
-// older is unreachable. Caller holds the stripe mutex.
+// older is unreachable. A chain that a stalled pin let grow long gives its
+// capacity back here: once at most a quarter of at least verShrinkCap slots
+// is left in use, the survivors move to a slice that fits them. Steady-state
+// chains hold one or two entries in a slice of at most four, so they never
+// reach the guard. Caller holds the stripe mutex.
 func (c *verChain[K]) trim(bound uint64) int {
 	j := -1
 	for i := range c.vers {
@@ -146,8 +154,12 @@ func (c *verChain[K]) trim(bound uint64) int {
 	if j <= 0 {
 		return 0
 	}
-	copy(c.vers, c.vers[j:])
 	tail := len(c.vers) - j
+	if cap(c.vers) >= verShrinkCap && tail <= cap(c.vers)/4 {
+		c.vers = append(make([]Version, 0, tail), c.vers[j:]...)
+		return j
+	}
+	copy(c.vers, c.vers[j:])
 	for i := tail; i < len(c.vers); i++ {
 		c.vers[i] = Version{} // drop Val references
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -86,7 +87,14 @@ func newOpJournal(obj string) *opJournal {
 	return &opJournal{obj: obj, buf: map[uint64][]histories.OpRec{}}
 }
 
-func (j *opJournal) Emit(tx *stm.Tx, kind uint8, key int64, aux []byte) {
+// Begin and End carry the key through the journal's byte buffer, the way a
+// codec-backed binding does; this journal keeps no bytes, only the op.
+func (j *opJournal) Begin(_ *stm.Tx, key int64) []byte {
+	return binary.AppendVarint(nil, key)
+}
+
+func (j *opJournal) End(tx *stm.Tx, kind uint8, buf []byte) {
+	key, _ := binary.Varint(buf)
 	method := "add"
 	if kind == core.RedoRemove {
 		method = "remove"

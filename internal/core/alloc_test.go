@@ -2,12 +2,13 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tboost/internal/boost"
 	"tboost/internal/hashset"
-	"tboost/internal/skiplist"
 	"tboost/internal/stm"
+	"tboost/internal/wal"
 )
 
 // Allocation budget of the boosted hot path (ISSUE 2 acceptance): a
@@ -225,41 +226,57 @@ func TestOrderedSetContainsAllocsZero(t *testing.T) {
 	}
 }
 
+// mallocs reads the process's cumulative heap-object count.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// meteredSet wraps a BaseSet and totals the heap objects allocated inside
+// its calls, so a test can subtract the base structure's own cost from a
+// boosted operation's exactly instead of estimating it from a separate run.
+type meteredSet struct {
+	inner  BaseSet[int64]
+	inside uint64
+}
+
+func (m *meteredSet) Add(k int64) bool {
+	before := mallocs()
+	ok := m.inner.Add(k)
+	m.inside += mallocs() - before
+	return ok
+}
+
+func (m *meteredSet) Remove(k int64) bool {
+	before := mallocs()
+	ok := m.inner.Remove(k)
+	m.inside += mallocs() - before
+	return ok
+}
+
+func (m *meteredSet) Contains(k int64) bool {
+	before := mallocs()
+	ok := m.inner.Contains(k)
+	m.inside += mallocs() - before
+	return ok
+}
+
 func TestOrderedSetAddRemoveAllocsAtMostOnePerOp(t *testing.T) {
 	skipIfRace(t)
-	// Unlike the hash set, the skip-list base allocates nodes for every
-	// effective Add, so the budget here is relative: the boosting layer —
-	// transaction, interval locks, undo log — may add at most one
-	// allocation per effective mutation (the undo closure) on top of what
-	// the raw base structure pays for the same operation sequence. The
-	// skip list's randomized tower heights shift the per-run count by ±1
-	// (and AllocsPerRun floors to an integer), so both sides take the
-	// minimum over a few trials before comparing.
-	minOf := func(measure func() float64) float64 {
-		best := measure()
-		for i := 0; i < 2; i++ {
-			if v := measure(); v < best {
-				best = v
-			}
-		}
-		return best
-	}
-	baseAvg := minOf(func() float64 {
-		base := skiplist.New()
-		for k := int64(0); k < 64; k++ {
-			base.Add(k)
-			base.Remove(k)
-		}
-		var bk int64
-		return testing.AllocsPerRun(200, func() {
-			bk = (bk + 1) & 63
-			base.Add(bk)
-			base.Remove(bk)
-		})
-	})
-
+	// Unlike the hash set, the skip-list base allocates for every effective
+	// Add — a node plus one successor cell per level of a randomly tall
+	// tower — so the budget here is relative: the boosting layer
+	// (transaction, interval locks, undo log) may add at most one
+	// allocation per effective mutation, the undo closure, on top of what
+	// the base pays. Two runs draw different towers, so comparing against a
+	// separately measured base run is noise of about one allocation per
+	// level; instead the base's calls are metered where they happen and
+	// subtracted, which leaves the boosting layer's share exactly.
 	sys := stm.NewSystem(stm.Config{})
 	s := NewOrderedSet()
+	base := &meteredSet{inner: s.base}
+	s.base = base
 	stm.MustAtomicOn(sys, func(tx *stm.Tx) {
 		for k := int64(0); k < 64; k++ {
 			s.Add(tx, k)
@@ -277,15 +294,22 @@ func TestOrderedSetAddRemoveAllocsAtMostOnePerOp(t *testing.T) {
 		return nil
 	}
 	_ = sys.Atomic(body)
-	avg := minOf(func() float64 {
-		return testing.AllocsPerRun(200, func() {
-			k = (k + 1) & 63
-			_ = sys.Atomic(body)
-		})
-	})
-	if avg > baseAvg+2.5 {
-		t.Fatalf("ordered-set add+remove allocates %.2f objects/run over a base cost of %.2f, want boosting overhead <= 2",
-			avg, baseAvg)
+	const runs = 200
+	base.inside = 0
+	before := mallocs()
+	for i := 0; i < runs; i++ {
+		k = (k + 1) & 63
+		_ = sys.Atomic(body)
+	}
+	total := mallocs() - before
+	if base.inside == 0 {
+		t.Fatal("the metered base saw no allocation: the set is not running on it")
+	}
+	// Whole objects per run, as AllocsPerRun reports them: a GC cycle during
+	// the loop empties the descriptor pool, which costs a few objects once.
+	if over := (total - base.inside) / runs; over > 2 {
+		t.Fatalf("ordered-set add+remove allocates %d objects/run beyond its base's %.2f, want boosting overhead <= 2",
+			over, float64(base.inside)/runs)
 	}
 }
 
@@ -561,5 +585,94 @@ func TestReentrantReacquireAllocsZero(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("reentrant re-acquire allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// The durable commit path (ISSUE 12): redo bytes are encoded once into the
+// descriptor's arena and copied once into a recycled batch, so durability
+// adds no heap object to a transaction except, in Group mode, the wait
+// closure. Both pins run behind an Async-mode log in a temp directory and
+// include the log's writer goroutine — AllocsPerRun counts process-wide.
+
+func TestDurableMapPutAllocsAtMostUndoClosures(t *testing.T) {
+	skipIfRace(t)
+	l, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.Async})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	m := NewRBTreeMap[int64]()
+	if err := BindMap(l, "map", wal.Int64Codec, wal.Int64Codec, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sys := stm.NewSystem(stm.Config{Durability: l})
+	stm.MustAtomicOn(sys, func(tx *stm.Tx) {
+		for k := int64(0); k < 64; k++ {
+			m.Put(tx, k, 0) // install the per-key locks and tree nodes up front
+		}
+	})
+	var k int64
+	body := func(tx *stm.Tx) error {
+		m.Put(tx, k, k+1)
+		m.Put(tx, k+1, k+2)
+		return nil
+	}
+	for i := 0; i < 16; i++ { // warm the pool, the arena and both batches
+		_ = sys.Atomic(body)
+	}
+	avg := testing.AllocsPerRun(500, func() {
+		k = (k + 2) & 63
+		_ = sys.Atomic(body)
+	})
+	// Two undo closures, plus slack for the writer's rare regrowth.
+	if avg > 3 {
+		t.Fatalf("durable two-Put transaction allocates %.2f objects/tx, want <= 3", avg)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// inertDurable satisfies wal.Durable for a binding that is only emitted to.
+type inertDurable struct{}
+
+func (inertDurable) Replay(uint8, []byte) error               { return nil }
+func (inertDurable) Snapshot(func(uint8, []byte) error) error { return nil }
+
+func TestJournalEmitAndCommitAllocZero(t *testing.T) {
+	skipIfRace(t)
+	l, err := wal.Open(wal.Options{Dir: t.TempDir(), Mode: wal.Async})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	b, err := wal.Bind(l, "raw", wal.Int64Codec, inertDurable{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sys := stm.NewSystem(stm.Config{Durability: l})
+	var k int64
+	// No boosted object: the journal binding's two calls and the sink's
+	// Commit are all the transaction does.
+	body := func(tx *stm.Tx) error {
+		b.End(tx, RedoAdd, b.Begin(tx, k))
+		b.End(tx, RedoAdd, wal.Int64Codec.Append(b.Begin(tx, k+1), k))
+		return nil
+	}
+	for i := 0; i < 16; i++ {
+		_ = sys.Atomic(body)
+	}
+	avg := testing.AllocsPerRun(500, func() {
+		k++
+		_ = sys.Atomic(body)
+	})
+	if avg > 0 {
+		t.Fatalf("Emit + Commit allocate %.2f objects/tx, want 0", avg)
 	}
 }

@@ -236,18 +236,25 @@ func TestPoolConcurrentNoDoubleHandout(t *testing.T) {
 				var v int
 				stm.MustAtomicOn(sys, func(tx *stm.Tx) { v = p.Alloc(tx) })
 				mu.Lock()
-				if inUse[v] {
-					t.Errorf("object %d handed out twice", v)
-					mu.Unlock()
-					return
-				}
+				dup := inUse[v]
 				inUse[v] = true
 				mu.Unlock()
+				if dup {
+					t.Errorf("object %d handed out twice", v)
+				}
 
-				stm.MustAtomicOn(sys, func(tx *stm.Tx) { p.Free(tx, v) })
+				// The mark goes before the Free: the committing Free
+				// republishes v, and another goroutine may legitimately be
+				// handed it before this one runs again. A double hand-out
+				// still frees what it took, so the balance below holds on
+				// the error path too.
 				mu.Lock()
 				delete(inUse, v)
 				mu.Unlock()
+				stm.MustAtomicOn(sys, func(tx *stm.Tx) { p.Free(tx, v) })
+				if dup {
+					return
+				}
 			}
 		}()
 	}

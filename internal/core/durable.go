@@ -117,7 +117,7 @@ func BindMap[K comparable, V any](l *wal.Log, name string, kc wal.Codec[K], vc w
 		return err
 	}
 	m.obj.BindJournal(b)
-	m.encVal = func(v V) []byte { return vc.Append(nil, v) }
+	m.encVal = vc.Append
 	return nil
 }
 

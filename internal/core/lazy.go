@@ -59,7 +59,7 @@ func (s *Set[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
 		if eager {
 			s.obj.Record(tx, boost.Op[K]{Inverse: func() { s.base.Remove(k) }})
 		}
-		s.obj.Emit(tx, RedoAdd, k, nil)
+		s.obj.Emit(tx, RedoAdd, k)
 		if live {
 			s.obj.RecordVersion(tx, k, boost.Version{Present: true})
 		}
@@ -71,7 +71,7 @@ func (s *Set[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
 		if eager {
 			s.obj.Record(tx, boost.Op[K]{Inverse: func() { s.base.Add(k) }})
 		}
-		s.obj.Emit(tx, RedoRemove, k, nil)
+		s.obj.Emit(tx, RedoRemove, k)
 		if live {
 			s.obj.RecordVersion(tx, k, boost.Version{Present: false})
 		}
@@ -121,7 +121,7 @@ func (m *Multiset[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) b
 		if eager {
 			m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.RemoveOne(k) }})
 		}
-		m.obj.Emit(tx, RedoAdd, k, nil)
+		m.obj.Emit(tx, RedoAdd, k)
 	}
 	for n := e.N; n < 0; n++ {
 		if !m.base.RemoveOne(k) {
@@ -130,7 +130,7 @@ func (m *Multiset[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) b
 		if eager {
 			m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Add(k) }})
 		}
-		m.obj.Emit(tx, RedoRemove, k, nil)
+		m.obj.Emit(tx, RedoRemove, k)
 	}
 	if live && e.N != 0 {
 		c := int64(m.base.Count(k))
@@ -181,7 +181,7 @@ func (m *Map[K, V]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) boo
 			}
 		}
 		if m.encVal != nil {
-			m.obj.Emit(tx, RedoAdd, k, m.encVal(val))
+			m.obj.EmitEnd(tx, RedoAdd, m.encVal(m.obj.EmitBegin(tx, k), val))
 		}
 		if live {
 			m.obj.RecordVersion(tx, k, boost.Version{Present: true, Val: val})
@@ -195,7 +195,7 @@ func (m *Map[K, V]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) boo
 		if eager {
 			m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Put(k, old) }})
 		}
-		m.obj.Emit(tx, RedoRemove, k, nil)
+		m.obj.Emit(tx, RedoRemove, k)
 		if live {
 			m.obj.RecordVersion(tx, k, boost.Version{Present: false})
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -359,7 +360,7 @@ func TestLazyMultisetDeltaFusion(t *testing.T) {
 	})
 }
 
-// recordingJournal captures Emit calls so tests can assert the journal sees
+// recordingJournal captures emitted ops so tests can assert the journal sees
 // the post-fusion stream.
 type recordingJournal struct {
 	mu  sync.Mutex
@@ -369,7 +370,12 @@ type recordingJournal struct {
 	}
 }
 
-func (j *recordingJournal) Emit(tx *stm.Tx, kind uint8, key int64, aux []byte) {
+func (j *recordingJournal) Begin(_ *stm.Tx, key int64) []byte {
+	return binary.AppendVarint(nil, key)
+}
+
+func (j *recordingJournal) End(_ *stm.Tx, kind uint8, buf []byte) {
+	key, _ := binary.Varint(buf)
 	j.mu.Lock()
 	j.ops = append(j.ops, struct {
 		kind uint8

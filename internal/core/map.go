@@ -22,9 +22,10 @@ type Map[K comparable, V any] struct {
 	base BaseMap[K, V]
 	obj  *boost.Object[K]
 
-	// encVal serializes a value for the redo journal; set by BindMap. Nil
-	// (the default) keeps the map undurable and Put emission free.
-	encVal func(V) []byte
+	// encVal appends a value's encoding to a redo op the journal opened on
+	// the key; set by BindMap, together with the journal. Nil (the default)
+	// keeps the map undurable and Put emission free.
+	encVal func([]byte, V) []byte
 
 	// lazyEq compares an observed binding against the current one during a
 	// lazy drain's validation. Non-nil iff the map was built lazy:
@@ -60,7 +61,7 @@ func (m *Map[K, V]) Put(tx *stm.Tx, key K, val V) (V, bool) {
 		m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Delete(key) }})
 	}
 	if m.encVal != nil {
-		m.obj.Emit(tx, RedoAdd, key, m.encVal(val))
+		m.obj.EmitEnd(tx, RedoAdd, m.encVal(m.obj.EmitBegin(tx, key), val))
 	}
 	if live {
 		m.obj.RecordVersion(tx, key, boost.Version{Present: true, Val: val})
@@ -95,7 +96,7 @@ func (m *Map[K, V]) Delete(tx *stm.Tx, key K) (V, bool) {
 	old, existed := m.base.Delete(key)
 	if existed {
 		m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Put(key, old) }})
-		m.obj.Emit(tx, RedoRemove, key, nil)
+		m.obj.Emit(tx, RedoRemove, key)
 		if live {
 			m.obj.RecordVersion(tx, key, boost.Version{Present: false})
 		}

@@ -41,7 +41,7 @@ func (m *Multiset[K]) Add(tx *stm.Tx, key K) int {
 	if live && m.obj.NeedsSeed(key) {
 		m.seedCount(tx, key)
 	}
-	m.obj.Emit(tx, RedoAdd, key, nil)
+	m.obj.Emit(tx, RedoAdd, key)
 	n := m.base.Add(key)
 	if live {
 		m.obj.RecordVersion(tx, key, boost.Version{Present: true, N: int64(n)})
@@ -78,7 +78,7 @@ func (m *Multiset[K]) RemoveOne(tx *stm.Tx, key K) bool {
 		return false
 	}
 	m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Add(key) }})
-	m.obj.Emit(tx, RedoRemove, key, nil)
+	m.obj.Emit(tx, RedoRemove, key)
 	if live {
 		n := int64(m.base.Count(key))
 		m.obj.RecordVersion(tx, key, boost.Version{Present: n > 0, N: n})

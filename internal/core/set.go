@@ -89,7 +89,7 @@ func (s *Set[K]) Add(tx *stm.Tx, key K) bool {
 		return false
 	}
 	s.obj.Record(tx, boost.Op[K]{Inverse: func() { s.base.Remove(key) }})
-	s.obj.Emit(tx, RedoAdd, key, nil)
+	s.obj.Emit(tx, RedoAdd, key)
 	if live {
 		s.obj.RecordVersion(tx, key, boost.Version{Present: true})
 	}
@@ -117,7 +117,7 @@ func (s *Set[K]) Remove(tx *stm.Tx, key K) bool {
 		return false
 	}
 	s.obj.Record(tx, boost.Op[K]{Inverse: func() { s.base.Add(key) }})
-	s.obj.Emit(tx, RedoRemove, key, nil)
+	s.obj.Emit(tx, RedoRemove, key)
 	if live {
 		s.obj.RecordVersion(tx, key, boost.Version{Present: false})
 	}

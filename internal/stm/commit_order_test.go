@@ -12,14 +12,26 @@ package stm_test
 //     reaches the caller;
 //  3. an aborting transaction never reaches the sink;
 //  4. a rolled-back nested child contributes nothing to the redo stream;
-//  5. a failing barrier surfaces as ErrNotDurable while the commit stands.
+//  5. a failing barrier surfaces as ErrNotDurable while the commit stands;
+//  6. the redo arena behind the ops' Data views never shows a sink bytes
+//     that are not the committing transaction's own: not a rolled-back
+//     child's, not a sibling Parallel branch's torn write, not the
+//     descriptor's previous life.
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"tboost/internal/stm"
 )
+
+// redo emits one forward op the way a journal binding does: data is encoded
+// into the buffer RedoBegin lends and handed back through RedoEnd.
+func redo(tx *stm.Tx, obj uint32, kind uint8, data ...byte) {
+	tx.RedoEnd(obj, kind, append(tx.RedoBegin(), data...))
+}
 
 // captureSink records what it is handed and when, and can fail its barrier.
 type captureSink struct {
@@ -53,15 +65,15 @@ func TestSinkSeesAllPriorOpsInOrder(t *testing.T) {
 	sys := stm.NewSystem(stm.Config{Durability: sink})
 
 	err := sys.Atomic(func(tx *stm.Tx) error {
-		tx.Redo(stm.RedoOp{Obj: 1, Kind: 1, Data: []byte{10}})
+		redo(tx, 1, 1, 10)
 		tx.AtCommit(func() {
 			// AtCommit runs at the commit point; an op emitted here (as a
 			// commit-time touch-up would) must still reach the sink.
 			seq = append(seq, "atCommit")
-			tx.Redo(stm.RedoOp{Obj: 1, Kind: 2, Data: []byte{11}})
+			redo(tx, 1, 2, 11)
 		})
 		tx.OnCommit(func() { seq = append(seq, "onCommit") })
-		tx.Redo(stm.RedoOp{Obj: 2, Kind: 1, Data: []byte{12}})
+		redo(tx, 2, 1, 12)
 		return nil
 	})
 	if err != nil {
@@ -97,7 +109,7 @@ func TestSinkRunsBeforeLockRelease(t *testing.T) {
 	sys := stm.NewSystem(stm.Config{Durability: probe})
 
 	err := sys.Atomic(func(tx *stm.Tx) error {
-		tx.Redo(stm.RedoOp{Obj: 1, Kind: 1})
+		redo(tx, 1, 1)
 		// Locks release in reverse registration order after the sink call;
 		// model one with the exported registration hook.
 		tx.RegisterLock(markUnlocker{released: &released})
@@ -134,7 +146,7 @@ func TestAbortNeverReachesSink(t *testing.T) {
 	sys := stm.NewSystem(stm.Config{Durability: sink})
 	boom := errors.New("boom")
 	if err := sys.Atomic(func(tx *stm.Tx) error {
-		tx.Redo(stm.RedoOp{Obj: 1, Kind: 1})
+		redo(tx, 1, 1)
 		return boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -145,7 +157,7 @@ func TestAbortNeverReachesSink(t *testing.T) {
 	// The descriptor is recycled; the next transaction must not inherit the
 	// aborted one's redo ops.
 	if err := sys.Atomic(func(tx *stm.Tx) error {
-		tx.Redo(stm.RedoOp{Obj: 2, Kind: 2})
+		redo(tx, 2, 2)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -160,18 +172,18 @@ func TestNestedRollbackDropsChildRedo(t *testing.T) {
 	sys := stm.NewSystem(stm.Config{Durability: sink})
 	childErr := errors.New("child")
 	err := sys.Atomic(func(tx *stm.Tx) error {
-		tx.Redo(stm.RedoOp{Obj: 1, Kind: 1})
+		redo(tx, 1, 1, 0xa1, 0xa2)
 		if err := tx.Nested(func(tx *stm.Tx) error {
-			tx.Redo(stm.RedoOp{Obj: 1, Kind: 2})
-			tx.Redo(stm.RedoOp{Obj: 1, Kind: 3})
+			redo(tx, 1, 2, bytes.Repeat([]byte{0xb2}, 300)...) // regrows the arena
+			redo(tx, 1, 3, 0xc3)
 			return childErr
 		}); !errors.Is(err, childErr) {
 			return err
 		}
-		if n := tx.RedoLen(); n != 1 {
-			t.Errorf("RedoLen after child rollback = %d, want 1", n)
+		if n, size := tx.RedoLen(); n != 1 || size != 2 {
+			t.Errorf("RedoLen after child rollback = %d ops, %d bytes; want 1 op, 2 bytes (the child's bytes leave the arena too)", n, size)
 		}
-		tx.Redo(stm.RedoOp{Obj: 1, Kind: 4})
+		redo(tx, 1, 4, 0xd4)
 		return nil
 	})
 	if err != nil {
@@ -181,6 +193,89 @@ func TestNestedRollbackDropsChildRedo(t *testing.T) {
 	if len(ops) != 2 || ops[0].Kind != 1 || ops[1].Kind != 4 {
 		t.Fatalf("sink saw %+v, want kinds 1,4 only", ops)
 	}
+	// The parent's first op kept its bytes through the child's regrowth of
+	// the arena, and the op after the rollback reuses the child's space.
+	if !bytes.Equal(ops[0].Data, []byte{0xa1, 0xa2}) || !bytes.Equal(ops[1].Data, []byte{0xd4}) {
+		t.Fatalf("sink saw data %x / %x, want a1a2 / d4", ops[0].Data, ops[1].Data)
+	}
+}
+
+func TestParallelBranchesEmitWholeOps(t *testing.T) {
+	// Two branches emit concurrently into one redo stream. Every op must
+	// reach the sink whole — its own bytes, none of a sibling's — and the
+	// owner's pre-Parallel op must survive the branches' arena growth.
+	const perBranch = 200
+	sink := &captureSink{}
+	sys := stm.NewSystem(stm.Config{Durability: sink})
+	branch := func(id byte) func(tx *stm.Tx) error {
+		return func(tx *stm.Tx) error {
+			for i := 0; i < perBranch; i++ {
+				redo(tx, uint32(id), 1, bytes.Repeat([]byte{id}, 1+i%32)...)
+			}
+			return nil
+		}
+	}
+	if err := sys.Atomic(func(tx *stm.Tx) error {
+		redo(tx, 9, 9, 0x99)
+		return tx.Parallel(branch(1), branch(2))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ops := sink.calls[0]
+	if len(ops) != 1+2*perBranch || !bytes.Equal(ops[0].Data, []byte{0x99}) {
+		t.Fatalf("sink saw %d ops, first %x; want %d, first 99", len(ops), ops[0].Data, 1+2*perBranch)
+	}
+	seen := map[uint32]int{}
+	for _, op := range ops[1:] {
+		i := seen[op.Obj]
+		seen[op.Obj]++
+		if want := bytes.Repeat([]byte{byte(op.Obj)}, 1+i%32); !bytes.Equal(op.Data, want) {
+			t.Fatalf("branch %d op %d: data %x, want %x", op.Obj, i, op.Data, want)
+		}
+	}
+}
+
+func TestRecycledDescriptorNeverShowsStaleRedoBytes(t *testing.T) {
+	// Descriptors are pooled and the arena is reused in place, so this is
+	// the test that the reuse is invisible: across commits, aborts and one
+	// transaction large enough to be dropped rather than kept, every sink
+	// call sees exactly the bytes its own transaction emitted.
+	sink := &captureSink{}
+	sys := stm.NewSystem(stm.Config{Durability: sink})
+	boom := errors.New("boom")
+	for i := 0; i < 64; i++ {
+		size := 1 + i%7
+		if i == 20 {
+			size = 16 << 10 // past what a pooled descriptor keeps
+		}
+		want := bytes.Repeat([]byte{byte(i)}, size)
+		abort := i%5 == 4
+		calls := len(sink.calls)
+		err := sys.Atomic(func(tx *stm.Tx) error {
+			if n, b := tx.RedoLen(); n != 0 || b != 0 {
+				return fmt.Errorf("tx %d began with %d redo ops, %d arena bytes", i, n, b)
+			}
+			redo(tx, 1, 1, want...)
+			redo(tx, 1, 2, want[:1]...)
+			if abort {
+				return boom
+			}
+			return nil
+		})
+		if abort {
+			if !errors.Is(err, boom) || len(sink.calls) != calls {
+				t.Fatalf("tx %d: err %v, sink calls %d→%d", i, err, calls, len(sink.calls))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := sink.calls[len(sink.calls)-1]
+		if len(ops) != 2 || !bytes.Equal(ops[0].Data, want) || !bytes.Equal(ops[1].Data, want[:1]) {
+			t.Fatalf("tx %d: sink saw %d ops, data %x…; want %x…", i, len(ops), ops[0].Data[:1], want[:1])
+		}
+	}
 }
 
 func TestFailedBarrierSurfacesErrNotDurable(t *testing.T) {
@@ -189,7 +284,7 @@ func TestFailedBarrierSurfacesErrNotDurable(t *testing.T) {
 	sys := stm.NewSystem(stm.Config{Durability: sink})
 	committed := false
 	err := sys.Atomic(func(tx *stm.Tx) error {
-		tx.Redo(stm.RedoOp{Obj: 1, Kind: 1})
+		redo(tx, 1, 1)
 		tx.OnCommit(func() { committed = true })
 		return nil
 	})

@@ -13,8 +13,8 @@ import "errors"
 // stream: the forward image of an effective boosted call. Obj identifies
 // the durable object (assigned when the object registers with the WAL),
 // Kind is an opcode in that object's namespace, and Data is the
-// codec-encoded key plus any payload. The runtime treats all three as
-// opaque.
+// codec-encoded key plus any payload — a view into the descriptor's redo
+// arena (see RedoBegin). The runtime treats all three as opaque.
 type RedoOp struct {
 	Obj  uint32
 	Kind uint8
@@ -26,8 +26,10 @@ type RedoOp struct {
 // Commit is called at the transaction's commit point with its abstract
 // locks still held, so conflicting transactions reach the sink in
 // serialization order and the sink's append order is a legal replay order.
-// The sink must capture ops (encode or copy) before returning — the slice
-// and its Data buffers are invalid afterwards.
+// The sink must capture ops (encode or copy) before returning: the slice
+// and every Data view point into the transaction descriptor's redo arena,
+// which is truncated as soon as Commit returns and overwritten by the next
+// transaction the pooled descriptor serves.
 //
 // The returned wait function is the durability barrier: the runtime calls
 // it after releasing the transaction's locks and before the outcome is
@@ -48,31 +50,61 @@ type DurabilitySink interface {
 // it as unresolved and re-check.
 var ErrNotDurable = errors.New("stm: transaction committed in memory but not acknowledged durable")
 
-// Redo appends one forward operation to the transaction's redo stream. The
-// boosting kernel calls it (via a journal binding) for each effective
-// mutation of a durable object; the stream is handed to the system's
-// DurabilitySink iff the transaction commits, and discarded on abort.
-func (tx *Tx) Redo(op RedoOp) {
+// redoBufKeep bounds the redo arena a descriptor carries into its next
+// life: one transaction with a large payload must not leave every later
+// user of the pooled descriptor holding its buffer.
+const redoBufKeep = 4 << 10
+
+// RedoBegin opens one forward operation of the transaction's redo stream
+// and returns the buffer its codec-encoded key and payload are appended to;
+// RedoEnd closes it. The boosting kernel's journal binding brackets each
+// effective mutation of a durable object with the pair, so the bytes are
+// written once, into an arena the descriptor owns and reuses: the stream is
+// handed to the system's DurabilitySink iff the transaction commits, and
+// truncated on abort. Ops are opened and closed one at a time.
+//
+// The arena is single-owner state. Once the transaction has escalated
+// (Parallel), branches encode aside — RedoBegin returns nil — and RedoEnd
+// copies the bytes in under tx.mu, so no lock is ever held across a codec.
+func (tx *Tx) RedoBegin() []byte {
 	if tx.parallel.Load() {
-		tx.mu.Lock()
-		tx.redo = append(tx.redo, op)
-		tx.mu.Unlock()
-		return
+		return nil
 	}
-	tx.redo = append(tx.redo, op)
+	return tx.redoBuf
 }
 
-// RedoLen reports how many redo operations are currently recorded. For
-// tests and introspection.
-func (tx *Tx) RedoLen() int {
+// RedoEnd closes the op RedoBegin opened: buf is the returned buffer,
+// extended by the op's data. RedoOp.Data is a view of those bytes; growing
+// the arena for a later op leaves it pointing at the superseded array, whose
+// contents no one changes, so earlier views stay valid until dropRedo.
+func (tx *Tx) RedoEnd(obj uint32, kind uint8, buf []byte) {
+	tx.stateLock()
+	if tx.parallel.Load() {
+		buf = append(tx.redoBuf, buf...)
+	}
+	off := len(tx.redoBuf)
+	tx.redoBuf = buf
+	tx.redo = append(tx.redo, RedoOp{Obj: obj, Kind: kind, Data: buf[off:len(buf):len(buf)]})
+	tx.stateUnlock()
+}
+
+// RedoLen reports how many redo operations are currently recorded and how
+// many arena bytes they occupy. For tests and introspection.
+func (tx *Tx) RedoLen() (ops, bytes int) {
 	tx.stateLock()
 	defer tx.stateUnlock()
-	return len(tx.redo)
+	return len(tx.redo), len(tx.redoBuf)
 }
 
-// clearRedo zeroes the redo slice (dropping the Data buffers it pins) and
-// truncates it, keeping capacity for the descriptor's next life.
-func clearRedo(ops []RedoOp) []RedoOp {
-	clear(ops)
-	return ops[:0]
+// dropRedo empties the redo stream at commit, abort, or prepared-commit:
+// the op slice is zeroed (its Data views pin every array the arena grew
+// through) and both keep their capacity for the descriptor's next life, the
+// arena only up to redoBufKeep.
+func (tx *Tx) dropRedo() {
+	clear(tx.redo)
+	tx.redo = tx.redo[:0]
+	if cap(tx.redoBuf) > redoBufKeep {
+		tx.redoBuf = nil
+	}
+	tx.redoBuf = tx.redoBuf[:0]
 }

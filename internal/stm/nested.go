@@ -23,7 +23,7 @@ package stm
 // savepoint captures the transaction's log/lock/handler positions at child
 // entry.
 type savepoint struct {
-	undo, redo, locks, atCommit, onCommit, onAbort, onValidate int
+	undo, redo, redoBuf, locks, atCommit, onCommit, onAbort, onValidate int
 
 	// lazyLogs is how many lazy pending logs were attached at child entry;
 	// lazyLens holds each such log's entry count, so a child rollback can
@@ -45,6 +45,7 @@ func (tx *Tx) save() savepoint {
 	sp := savepoint{
 		undo:       len(tx.undo),
 		redo:       len(tx.redo),
+		redoBuf:    len(tx.redoBuf),
 		locks:      len(tx.locks),
 		atCommit:   len(tx.atCommit),
 		onCommit:   len(tx.onCommit),
@@ -83,9 +84,12 @@ func (tx *Tx) rollbackTo(sp savepoint) {
 	tx.undo = clearTail(tx.undo, sp.undo)
 
 	// The child's forward ops leave the redo stream with it: a rolled-back
-	// child must contribute nothing to the durable log.
+	// child must contribute nothing to the durable log. Its bytes leave the
+	// arena too; the parent's ops keep their views (a prefix survives any
+	// regrowth the child caused).
 	clear(tx.redo[sp.redo:])
 	tx.redo = tx.redo[:sp.redo]
+	tx.redoBuf = tx.redoBuf[:sp.redoBuf]
 
 	childLocks := append([]Unlocker{}, tx.locks[sp.locks:]...)
 	if tx.lockIdx != nil {

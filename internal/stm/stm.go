@@ -174,6 +174,7 @@ type Tx struct {
 	mu         sync.Mutex            // guards the state below only after escalation
 	undo       []func()              // inverse operations, applied in reverse on abort
 	redo       []RedoOp              // forward ops for the durability sink (committed txs only)
+	redoBuf    []byte                // arena the redo ops' Data views point into (see RedoBegin)
 	lazy       []lazyAttach          // pending op logs of lazy boosted objects, drained at commit
 	locks      []Unlocker            // two-phase locks, released at commit/abort
 	lockIdx    map[Unlocker]struct{} // non-nil once len(locks) > lockSpill
@@ -629,9 +630,9 @@ func (tx *Tx) rollback() {
 		tx.undo[i]()
 	}
 	tx.undo = clearFuncs(tx.undo)
-	tx.redo = clearRedo(tx.redo) // an aborted tx contributes nothing to the log
-	tx.clearLazy()               // pending lazy ops never ran; abort is truncation
-	tx.discardVers()             // pending versions were never published
+	tx.dropRedo()    // an aborted tx contributes nothing to the log
+	tx.clearLazy()   // pending lazy ops never ran; abort is truncation
+	tx.discardVers() // pending versions were never published
 	tx.releaseLocks()
 	tx.clearDisc() // discipline latches die with the footprint they pinned
 	tx.status.Store(int32(Aborted))
@@ -718,7 +719,7 @@ func (tx *Tx) commit() bool {
 	if sink := tx.system.cfg.Durability; sink != nil && len(tx.redo) > 0 {
 		wait = sink.Commit(tx.id, tx.redo)
 	}
-	tx.redo = clearRedo(tx.redo)
+	tx.dropRedo()
 	tx.clearLazy()
 	tx.releaseLocks()
 	tx.clearDisc() // discipline latches die with the footprint they pinned

@@ -134,7 +134,7 @@ func (p *PreparedTx) Commit() error {
 	}
 	tx.atCommit = clearFuncs(tx.atCommit)
 	tx.undo = clearFuncs(tx.undo)
-	tx.redo = clearRedo(tx.redo)
+	tx.dropRedo()
 	tx.clearLazy()
 	tx.releaseLocks()
 	tx.clearDisc()

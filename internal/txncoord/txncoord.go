@@ -343,9 +343,12 @@ func retryable(err error) bool {
 // aborts.
 func (c *Coordinator) logDecision(gid uint64) error {
 	if c.dlog != nil {
-		wait := c.dlog.Commit(gid, []stm.RedoOp{
-			{Obj: c.decID, Kind: decisionKind, Data: binary.AppendUvarint(nil, gid)},
-		})
+		// The log encodes the op before Commit returns and keeps nothing, so
+		// the record is built on the stack.
+		var key [binary.MaxVarintLen64]byte
+		n := binary.PutUvarint(key[:], gid)
+		ops := [1]stm.RedoOp{{Obj: c.decID, Kind: decisionKind, Data: key[:n]}}
+		wait := c.dlog.Commit(gid, ops[:])
 		if wait != nil {
 			if err := wait(); err != nil {
 				return err

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"tboost/internal/stm"
 )
 
 // castagnoli is the CRC-32C table used for record frames and checkpoint
@@ -70,36 +72,46 @@ const (
 	maxPayload  = 1 << 28 // sanity bound on a single record
 )
 
-// appendPayload serializes (lsn, txID, ops) — the frame payload without its
-// header — onto buf.
-func appendPayload(buf []byte, lsn, txID uint64, ops []rawOp) []byte {
+// meta is the optional two-phase-commit op that leads a record (see
+// twopc.go): kind 0 means the record has none.
+type meta struct {
+	kind uint8
+	gid  uint64
+}
+
+// appendPayload serializes (lsn, txID, [meta op,] ops) — the frame payload
+// without its header — onto buf, reading the redo ops where they lie.
+func appendPayload(buf []byte, lsn, txID uint64, m meta, ops []stm.RedoOp) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, lsn)
 	buf = binary.LittleEndian.AppendUint64(buf, txID)
-	buf = binary.AppendUvarint(buf, uint64(len(ops)))
-	for _, op := range ops {
-		buf = binary.AppendUvarint(buf, uint64(op.obj))
-		buf = append(buf, op.kind)
-		buf = binary.AppendUvarint(buf, uint64(len(op.data)))
-		buf = append(buf, op.data...)
+	if m.kind == 0 {
+		buf = binary.AppendUvarint(buf, uint64(len(ops)))
+	} else {
+		var gid [binary.MaxVarintLen64]byte
+		n := binary.PutUvarint(gid[:], m.gid)
+		buf = binary.AppendUvarint(buf, uint64(len(ops))+1)
+		buf = binary.AppendUvarint(buf, uint64(metaObj))
+		buf = append(buf, m.kind)
+		buf = binary.AppendUvarint(buf, uint64(n))
+		buf = append(buf, gid[:n]...)
+	}
+	for i := range ops {
+		op := &ops[i]
+		buf = binary.AppendUvarint(buf, uint64(op.Obj))
+		buf = append(buf, op.Kind)
+		buf = binary.AppendUvarint(buf, uint64(len(op.Data)))
+		buf = append(buf, op.Data...)
 	}
 	return buf
 }
 
-// rawOp is the append-side view of an op (field order chosen to pack).
-type rawOp struct {
-	data []byte
-	obj  uint32
-	kind uint8
-}
-
-// appendFrame wraps a payload (already appended at buf[start:]) with its
-// header by shifting it right frameHeader bytes. Callers reserve the header
-// with appendFrameHeaderSpace before writing the payload.
-func frameFinish(buf []byte, start int) []byte {
+// frameFinish fills in the header of the frame at buf[start:]: append
+// reserves frameHeader bytes, appends the payload behind them, and calls
+// this with the payload complete.
+func frameFinish(buf []byte, start int) {
 	payload := buf[start+frameHeader:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
-	return buf
 }
 
 // decodeFrame parses one frame from b. It returns the record, the total

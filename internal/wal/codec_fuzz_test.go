@@ -3,8 +3,51 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"testing"
+
+	"tboost/internal/stm"
 )
+
+// The reference encoder: the append path as it stood before records were
+// encoded straight from []stm.RedoOp — ops copied into a private slice, the
+// two-phase meta op materialized as a leading element with a heap-allocated
+// gid. The on-disk format is defined by what this produces; the live
+// encoder must match it byte for byte (see refFrame's callers).
+type refOp struct {
+	data []byte
+	obj  uint32
+	kind uint8
+}
+
+func refAppendPayload(buf []byte, lsn, txID uint64, ops []refOp) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, lsn)
+	buf = binary.LittleEndian.AppendUint64(buf, txID)
+	buf = binary.AppendUvarint(buf, uint64(len(ops)))
+	for _, op := range ops {
+		buf = binary.AppendUvarint(buf, uint64(op.obj))
+		buf = append(buf, op.kind)
+		buf = binary.AppendUvarint(buf, uint64(len(op.data)))
+		buf = append(buf, op.data...)
+	}
+	return buf
+}
+
+// refFrame is the frame the reference encoder writes for one record.
+func refFrame(lsn, txID uint64, m meta, ops []stm.RedoOp) []byte {
+	var raw []refOp
+	if m.kind != 0 {
+		raw = append(raw, refOp{obj: metaObj, kind: m.kind, data: binary.AppendUvarint(nil, m.gid)})
+	}
+	for _, op := range ops {
+		raw = append(raw, refOp{data: op.Data, obj: op.Obj, kind: op.Kind})
+	}
+	buf := refAppendPayload(make([]byte, frameHeader), lsn, txID, raw)
+	payload := buf[frameHeader:]
+	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
+	return buf
+}
 
 // point is a representative struct key, registered via CodecFunc the way a
 // user would for a composite key.
@@ -29,10 +72,12 @@ var pointCodec = CodecFunc(
 
 // FuzzOpCodecRoundTrip drives the full op encode→frame→decode path with
 // fuzzer-derived transactions over every key codec (int64, string, struct)
-// and every collection op kind (add=1, remove=2, addN=3), then corrupts one
-// byte of the frame and demands the corruption is *detected*: a mutated
-// frame either fails to decode or decodes to exactly the original record —
-// never to a silently different op.
+// and every collection op kind (add=1, remove=2, addN=3), with and without
+// a leading two-phase meta op, and demands the frame equal the reference
+// encoder's byte for byte. It then corrupts one byte of the frame and
+// demands the corruption is *detected*: a mutated frame either fails to
+// decode or decodes to exactly the original record — never to a silently
+// different op.
 func FuzzOpCodecRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint64(7), []byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8}, -1)
 	f.Add(uint64(9), uint64(1), []byte{1, 1, 5, 'h', 'e', 'l', 'l', 'o'}, 3)
@@ -43,7 +88,7 @@ func FuzzOpCodecRoundTrip(f *testing.F) {
 		if lsn == 0 {
 			lsn = 1
 		}
-		var ops []rawOp
+		var ops []stm.RedoOp
 		r := raw
 		for len(r) >= 2 && len(ops) < 64 {
 			kind := r[0]%3 + 1 // the collection opcodes: add, remove, addN
@@ -90,12 +135,19 @@ func FuzzOpCodecRoundTrip(f *testing.F) {
 					t.Fatalf("struct codec roundtrip: %+v -> (%+v,%d,%v)", p, got, n, err)
 				}
 			}
-			ops = append(ops, rawOp{obj: uint32(len(ops)), kind: kind, data: data})
+			ops = append(ops, stm.RedoOp{Obj: uint32(len(ops)), Kind: kind, Data: data})
 		}
 
+		// Every fourth txID is a plain record; the rest lead with one of the
+		// three meta kinds.
+		m := meta{kind: uint8(txID % 4), gid: lsn ^ txID<<7}
+
 		buf := make([]byte, frameHeader)
-		buf = appendPayload(buf, lsn, txID, ops)
+		buf = appendPayload(buf, lsn, txID, m, ops)
 		frameFinish(buf, 0)
+		if want := refFrame(lsn, txID, m, ops); !bytes.Equal(buf, want) {
+			t.Fatalf("frame differs from the reference encoder's:\n got %x\nwant %x", buf, want)
+		}
 
 		rec, n, err := decodeFrame(buf)
 		if err != nil {
@@ -104,12 +156,19 @@ func FuzzOpCodecRoundTrip(f *testing.F) {
 		if n != len(buf) {
 			t.Fatalf("decode consumed %d of %d bytes", n, len(buf))
 		}
-		if rec.LSN != lsn || rec.TxID != txID || len(rec.Ops) != len(ops) {
-			t.Fatalf("frame roundtrip: got (%d,%d,%d ops), want (%d,%d,%d ops)",
-				rec.LSN, rec.TxID, len(rec.Ops), lsn, txID, len(ops))
+		got := rec.Ops
+		if gid, kind, ok := metaOf(rec); m.kind != 0 {
+			if !ok || gid != m.gid || kind != m.kind {
+				t.Fatalf("meta roundtrip: got (%d,%d,%v), want (%d,%d)", gid, kind, ok, m.gid, m.kind)
+			}
+			got = got[1:]
 		}
-		for i, op := range rec.Ops {
-			if op.Obj != ops[i].obj || op.Kind != ops[i].kind || !bytes.Equal(op.Data, ops[i].data) {
+		if rec.LSN != lsn || rec.TxID != txID || len(got) != len(ops) {
+			t.Fatalf("frame roundtrip: got (%d,%d,%d ops), want (%d,%d,%d ops)",
+				rec.LSN, rec.TxID, len(got), lsn, txID, len(ops))
+		}
+		for i, op := range got {
+			if op.Obj != ops[i].Obj || op.Kind != ops[i].Kind || !bytes.Equal(op.Data, ops[i].Data) {
 				t.Fatalf("op %d roundtrip mismatch: %+v vs %+v", i, op, ops[i])
 			}
 		}

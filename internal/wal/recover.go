@@ -43,12 +43,16 @@ type Binding[K comparable] struct {
 	id    uint32
 }
 
-// Emit implements the kernel's journal hook: serialize key (+aux payload)
-// and append the op to the transaction's redo stream.
-func (b *Binding[K]) Emit(tx *stm.Tx, kind uint8, key K, aux []byte) {
-	data := b.codec.Append(make([]byte, 0, 16+len(aux)), key)
-	data = append(data, aux...)
-	tx.Redo(stm.RedoOp{Obj: b.id, Kind: kind, Data: data})
+// Begin and End implement the kernel's journal hook: the key is encoded
+// straight into the transaction's redo arena, the spec appends any payload,
+// and the op is stamped with the object's ID. Nothing is allocated and
+// nothing is copied until Commit encodes the stream into a batch.
+func (b *Binding[K]) Begin(tx *stm.Tx, key K) []byte {
+	return b.codec.Append(tx.RedoBegin(), key)
+}
+
+func (b *Binding[K]) End(tx *stm.Tx, kind uint8, buf []byte) {
+	tx.RedoEnd(b.id, kind, buf)
 }
 
 // ID returns the object's registration index (the Op.Obj value it stamps).
@@ -298,7 +302,7 @@ func (l *Log) Checkpoint() (uint64, error) {
 			// it here; recovery also deletes strays), the previous
 			// checkpoint stays authoritative, and the log freezes.
 			f.Close()
-			l.crashNow()
+			l.crash()
 			return 0, ErrCrashed
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(e.name)))
@@ -370,7 +374,7 @@ func (l *Log) pruneSegments(ckNext uint64) error {
 		if !first && faultpoint.Hit(faultpoint.WalMidTruncate) == faultpoint.Crash {
 			// Kill mid-prune: stale segments survive; recovery must skip
 			// their records by LSN rather than double-replay them.
-			l.crashNow()
+			l.crash()
 			return ErrCrashed
 		}
 		first = false
@@ -388,25 +392,6 @@ func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
-	}
-}
-
-// crashNow freezes the log from a non-writer path (checkpoint/prune).
-func (l *Log) crashNow() {
-	l.mu.Lock()
-	if l.crashed {
-		l.mu.Unlock()
-		return
-	}
-	l.crashed = true
-	l.ioerr = ErrCrashed
-	next := l.cur
-	l.cur = nil
-	l.flushDone.Broadcast()
-	l.mu.Unlock()
-	if next != nil {
-		next.err = ErrCrashed
-		close(next.done)
 	}
 }
 

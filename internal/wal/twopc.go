@@ -52,10 +52,6 @@ const (
 	metaAbort   uint8 = 3
 )
 
-func metaRaw(kind uint8, gid uint64) rawOp {
-	return rawOp{obj: metaObj, kind: kind, data: binary.AppendUvarint(nil, gid)}
-}
-
 // metaOf decodes a record's leading meta op, if it has one.
 func metaOf(rec Record) (gid uint64, kind uint8, ok bool) {
 	if len(rec.Ops) == 0 || rec.Ops[0].Obj != metaObj {
@@ -102,21 +98,15 @@ func (l *Log) Prepare(txID, gid uint64, ops []stm.RedoOp) error {
 		return nil
 	}
 	if faultpoint.Hit(faultpoint.TwopcPrePrepare) == faultpoint.Crash {
-		l.crashNow()
+		l.crash()
 		return ErrCrashed
 	}
 	l.commits.Add(1)
-	raw := make([]rawOp, 0, len(ops)+1)
-	raw = append(raw, metaRaw(metaPrepare, gid))
-	raw = append(raw, redoRaw(ops)...)
-	wait := l.append(txID, raw, true)
-	if wait != nil {
-		if err := wait(); err != nil {
-			return err
-		}
+	if err := l.append(txID, meta{metaPrepare, gid}, ops, true)(); err != nil {
+		return err
 	}
 	if faultpoint.Hit(faultpoint.TwopcPostPrepare) == faultpoint.Crash {
-		l.crashNow()
+		l.crash()
 		return ErrCrashed
 	}
 	return nil
@@ -134,14 +124,14 @@ func (l *Log) Decide(txID, gid uint64, commit bool) (wait func() error, err erro
 		return nil, nil
 	}
 	if commit && faultpoint.Hit(faultpoint.TwopcPreApply) == faultpoint.Crash {
-		l.crashNow()
+		l.crash()
 		return nil, ErrCrashed
 	}
 	kind := metaAbort
 	if commit {
 		kind = metaCommit
 	}
-	w := l.append(txID, []rawOp{metaRaw(kind, gid)}, commit && l.opts.Mode == Group)
+	w := l.append(txID, meta{kind, gid}, nil, commit && l.opts.Mode == Group)
 	if !commit {
 		return nil, nil
 	}
@@ -258,21 +248,18 @@ func (l *Log) ResolveInDoubt(gid uint64, commit bool) error {
 	l.twopc.mu.Unlock()
 
 	if !commit {
-		l.append(ad.rec.txID, []rawOp{metaRaw(metaAbort, gid)}, false)
+		l.append(ad.rec.txID, meta{metaAbort, gid}, nil, false)
 		ad.ptx.Abort()
 		return nil
 	}
-	wait := l.append(ad.rec.txID, []rawOp{metaRaw(metaCommit, gid)}, true)
-	if wait != nil {
-		if err := wait(); err != nil {
-			// The marker never became durable (the log froze again): put the
-			// transaction back so a later resolution pass can retry.
-			l.twopc.mu.Lock()
-			l.twopc.adopted[gid] = ad
-			l.twopc.inDoubt[gid] = ad.rec
-			l.twopc.mu.Unlock()
-			return err
-		}
+	if err := l.append(ad.rec.txID, meta{metaCommit, gid}, nil, true)(); err != nil {
+		// The marker never became durable (the log froze again): put the
+		// transaction back so a later resolution pass can retry.
+		l.twopc.mu.Lock()
+		l.twopc.adopted[gid] = ad
+		l.twopc.inDoubt[gid] = ad.rec
+		l.twopc.mu.Unlock()
+		return err
 	}
 	for _, op := range ad.rec.ops {
 		if err := l.objs[op.Obj].obj.Replay(op.Kind, op.Data); err != nil {

@@ -57,9 +57,6 @@ type Options struct {
 	// means fsync as soon as the writer is free — batching then happens
 	// naturally while the previous fsync is in flight.
 	GroupWindow time.Duration
-	// GroupBytes flushes a batch early once it holds at least this many
-	// bytes, bounding latency under write bursts. Zero selects 1 MiB.
-	GroupBytes int
 	// SegmentBytes rotates to a new segment file once the current one
 	// exceeds this size. Zero selects 4 MiB.
 	SegmentBytes int64
@@ -83,9 +80,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.GroupBytes <= 0 {
-		o.GroupBytes = 1 << 20
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
@@ -114,14 +108,28 @@ type Stats struct {
 }
 
 // batch is one group-commit unit: the frames accumulated since the writer
-// last took work, flushed and fsynced together. Waiters (Group-mode
-// committers) block on done.
+// last took work, flushed and fsynced together. The log owns exactly two, for
+// its whole life: the open one appenders fill under mu, and the one the
+// writer is flushing or holding spare. A batch carries no outcome — a
+// committer waits on its own LSN (see awaitDurable) — so the writer can hand
+// one back to the appenders the moment its flush returns.
 type batch struct {
 	buf     []byte
-	recEnds []int // cumulative end offsets of each frame in buf, for torn-write simulation
+	recEnds []int // cumulative end offsets of each frame in buf
 	lastLSN uint64
-	done    chan struct{}
-	err     error
+}
+
+// batchBufKeep caps the buffer a batch carries into its next flush, so one
+// burst (or one huge record) does not pin its high-water mark for good.
+const batchBufKeep = 64 << 10
+
+// reset empties b for reuse, keeping its capacity up to batchBufKeep.
+func (b *batch) reset() {
+	if cap(b.buf) > batchBufKeep {
+		b.buf = nil
+	}
+	b.buf = b.buf[:0]
+	b.recEnds = b.recEnds[:0]
 }
 
 // Log is a segmented logical WAL. It implements stm.DurabilitySink. The
@@ -136,14 +144,26 @@ type Log struct {
 	// transaction's abstract locks held, the order in which conflicting
 	// transactions pass through mu equals their serialization order.
 	mu        sync.Mutex
-	flushDone *sync.Cond // signalled after every batch completes (Sync waits here)
-	cur       *batch
+	cur       *batch // the open batch; never nil
 	nextLSN   uint64
 	pending   int // bytes buffered ahead of the writer
 	recovered bool
 	closed    bool
-	crashed   bool
 	ioerr     error // why the log froze: ErrCrashed (simulated) or a real I/O error
+
+	// crashed freezes the log: no further writes, every committer fails
+	// fast with ioerr. Sticky and log-wide, which is why batches carry no
+	// error of their own. Written under mu (so append's check is exact),
+	// read lock-free by durability waiters.
+	crashed atomic.Bool
+
+	// ack is broadcast (under ackMu) after durable advances or the log
+	// freezes — the two events awaitDurable's predicate watches. It has its
+	// own mutex so that woken committers, who have already released their
+	// abstract locks, never queue on mu ahead of appenders still holding
+	// theirs.
+	ackMu sync.Mutex
+	ack   *sync.Cond
 
 	// overloaded mirrors pending > MaxPending for lock-free reads: stm's
 	// admission path consults it (through stm.OverloadSink) to shed new
@@ -159,7 +179,7 @@ type Log struct {
 	wg   sync.WaitGroup
 
 	// Segment state, owned by the writer goroutine after Recover.
-	f           *os.File
+	f           segFile
 	segSize     int64
 	curSegStart uint64
 	ckptLSN     uint64 // first LSN NOT covered by the loaded/last checkpoint
@@ -187,27 +207,29 @@ func Open(opts Options) (*Log, error) {
 	}
 	l := &Log{
 		opts:     opts,
+		cur:      new(batch),
 		nextLSN:  1,
 		kick:     make(chan struct{}, 1),
 		objIndex: map[string]uint32{},
 	}
 	l.twopc.inDoubt = map[uint64]*inDoubtRec{}
 	l.twopc.adopted = map[uint64]*adoption{}
-	l.flushDone = sync.NewCond(&l.mu)
+	l.ack = sync.NewCond(&l.ackMu)
 	return l, nil
 }
 
 // Commit implements stm.DurabilitySink: it encodes the transaction's redo
 // stream as one record in the open batch and returns the mode's barrier.
 // Called with the transaction's abstract locks held (see package comment);
-// the work under l.mu is pure serialization — byte appends — with the fsync
-// deferred to the writer goroutine so lock hold times stay short.
+// the work under l.mu is pure serialization — one bounded copy of the redo
+// bytes into the batch — with the fsync deferred to the writer goroutine so
+// lock hold times stay short.
 func (l *Log) Commit(txID uint64, ops []stm.RedoOp) (wait func() error) {
 	if l.opts.Mode == Off {
 		return nil
 	}
 	l.commits.Add(1)
-	return l.append(txID, redoRaw(ops), l.opts.Mode == Group)
+	return l.append(txID, meta{}, ops, l.opts.Mode == Group)
 }
 
 // append encodes one record into the open batch and kicks the writer. It is
@@ -215,24 +237,21 @@ func (l *Log) Commit(txID uint64, ops []stm.RedoOp) (wait func() error) {
 // backpressure — they only flip the Overloaded flag, which sheds *new*
 // transactions at admission (an appender here already executed and holds
 // abstract locks; sleeping it would spread the stall to its conflict set).
-// With barrier set, the returned wait blocks until the record's batch is
-// fsynced; otherwise wait is nil.
-func (l *Log) append(txID uint64, ops []rawOp, barrier bool) (wait func() error) {
+// With barrier set, the returned wait blocks until the record is fsynced;
+// otherwise wait is nil. ops is read before append returns and not retained.
+func (l *Log) append(txID uint64, m meta, ops []stm.RedoOp, barrier bool) (wait func() error) {
 	l.mu.Lock()
-	if !l.recovered || l.closed || l.crashed {
+	if !l.recovered || l.closed || l.crashed.Load() {
 		err := l.stateErr()
 		l.mu.Unlock()
 		return func() error { return err }
-	}
-	if l.cur == nil {
-		l.cur = &batch{done: make(chan struct{})}
 	}
 	b := l.cur
 	lsn := l.nextLSN
 	l.nextLSN++
 	start := len(b.buf)
 	b.buf = append(b.buf, make([]byte, frameHeader)...)
-	b.buf = appendPayload(b.buf, lsn, txID, ops)
+	b.buf = appendPayload(b.buf, lsn, txID, m, ops)
 	frameFinish(b.buf, start)
 	b.recEnds = append(b.recEnds, len(b.buf))
 	b.lastLSN = lsn
@@ -242,17 +261,53 @@ func (l *Log) append(txID uint64, ops []rawOp, barrier bool) (wait func() error)
 	}
 	l.mu.Unlock()
 
+	l.kickWriter()
+	if !barrier {
+		return nil
+	}
+	return func() error { return l.awaitDurable(lsn) }
+}
+
+func (l *Log) kickWriter() {
 	select {
 	case l.kick <- struct{}{}:
 	default:
 	}
-	if !barrier {
+}
+
+// awaitDurable blocks until the record at lsn is fsynced (nil) or the log
+// has frozen short of it (the sticky error). It is the whole acknowledgment
+// protocol: fsyncs cover prefixes, so "durable LSN ≥ mine" says my batch
+// succeeded whichever batch object carried it and whatever that object is
+// doing now; and a failed flush freezes the log for good, so "frozen" says
+// my record will never be written — whether it sat in the failed batch or
+// in the open one behind it. A wake-up meant for another committer is
+// harmless: the predicate decides, the broadcast only prompts a re-check.
+func (l *Log) awaitDurable(lsn uint64) error {
+	if l.durable.Load() >= lsn {
 		return nil
 	}
-	return func() error {
-		<-b.done
-		return b.err
+	l.ackMu.Lock()
+	for l.durable.Load() < lsn && !l.crashed.Load() {
+		l.ack.Wait()
 	}
+	l.ackMu.Unlock()
+	if l.durable.Load() >= lsn {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ioerr
+}
+
+// announce wakes every durability waiter to re-check its predicate. Callers
+// have already published the change (durable or crashed) and hold no lock:
+// taking ackMu orders the broadcast after any waiter that tested the old
+// state and has not parked yet.
+func (l *Log) announce() {
+	l.ackMu.Lock()
+	l.ack.Broadcast()
+	l.ackMu.Unlock()
 }
 
 // Overloaded reports whether the writer is more than MaxPending bytes
@@ -261,18 +316,9 @@ func (l *Log) append(txID uint64, ops []rawOp, barrier bool) (wait func() error)
 // admission-control analogue of blocking backpressure.
 func (l *Log) Overloaded() bool { return l.overloaded.Load() }
 
-// redoRaw views []stm.RedoOp as the codec's rawOp slice without copying.
-func redoRaw(ops []stm.RedoOp) []rawOp {
-	raw := make([]rawOp, len(ops))
-	for i, op := range ops {
-		raw[i] = rawOp{data: op.Data, obj: op.Obj, kind: op.Kind}
-	}
-	return raw
-}
-
 func (l *Log) stateErr() error {
 	switch {
-	case l.crashed:
+	case l.crashed.Load():
 		return l.ioerr
 	case l.closed:
 		return ErrClosed
@@ -285,29 +331,17 @@ func (l *Log) stateErr() error {
 // the explicit barrier for Async mode and for checkpoints.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	if l.crashed || l.closed || !l.recovered {
+	if l.crashed.Load() || l.closed || !l.recovered {
 		err := l.stateErr()
 		l.mu.Unlock()
 		return err
 	}
 	target := l.nextLSN - 1
 	l.mu.Unlock()
-	if target == 0 || l.durable.Load() >= target {
-		return nil
+	if l.durable.Load() < target {
+		l.kickWriter()
 	}
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.durable.Load() < target && !l.crashed && !l.closed {
-		l.flushDone.Wait()
-	}
-	if l.durable.Load() >= target {
-		return nil
-	}
-	return l.stateErr()
+	return l.awaitDurable(target)
 }
 
 // Close flushes pending records, stops the writer, and closes the segment.
@@ -319,7 +353,6 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	started := l.recovered
-	l.flushDone.Broadcast()
 	l.mu.Unlock()
 	if started {
 		close(l.kick)
@@ -345,19 +378,17 @@ func (l *Log) Stats() Stats {
 }
 
 // Crashed reports whether a simulated crash froze the log.
-func (l *Log) Crashed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.crashed
-}
+func (l *Log) Crashed() bool { return l.crashed.Load() }
 
-// writerLoop is the single log writer: it takes the open batch, writes its
-// frames to the segment, fsyncs once, and acknowledges every waiter in the
-// batch. Records appended while an fsync is in flight pile into the next
-// batch — that is the natural group commit; GroupWindow adds deliberate
-// lingering on top.
+// writerLoop is the single log writer: it swaps its spare batch for the open
+// one, writes the frames to the segment, fsyncs once, and acknowledges every
+// waiter at or below the batch's last LSN. Records appended while an fsync
+// is in flight pile into the other batch — that is the natural group commit;
+// GroupWindow adds deliberate lingering on top. The two batch objects
+// ping-pong for the life of the log: nothing is allocated per flush.
 func (l *Log) writerLoop() {
 	defer l.wg.Done()
+	spare := new(batch)
 	for range l.kick {
 		if l.opts.GroupWindow > 0 {
 			time.Sleep(l.opts.GroupWindow)
@@ -365,12 +396,13 @@ func (l *Log) writerLoop() {
 		for {
 			l.mu.Lock()
 			b := l.cur
-			if b == nil || len(b.recEnds) == 0 {
+			if len(b.recEnds) == 0 || l.crashed.Load() {
+				// Nothing to write, or frozen: a frozen log writes nothing
+				// more, and its waiters have already been failed.
 				l.mu.Unlock()
 				break
 			}
-			// Linger inside the window only until the batch is big enough.
-			l.cur = &batch{done: make(chan struct{})}
+			l.cur = spare
 			l.mu.Unlock()
 
 			l.flush(b)
@@ -380,23 +412,17 @@ func (l *Log) writerLoop() {
 			if l.pending <= l.opts.MaxPending {
 				l.overloaded.Store(false)
 			}
-			crashed := l.crashed
 			l.mu.Unlock()
-			if crashed {
-				// Freeze: drain remaining kicks without writing; every
-				// future waiter fails fast in Commit.
-				for range l.kick {
-				}
-				return
-			}
+			b.reset()
+			spare = b
 		}
 	}
-	// Closed: flush whatever is left.
+	// Closed: flush whatever is left (appenders have been refused since
+	// closed was set).
 	l.mu.Lock()
 	b := l.cur
-	l.cur = nil
 	l.mu.Unlock()
-	if b != nil && len(b.recEnds) > 0 && !l.Crashed() {
+	if len(b.recEnds) > 0 && !l.crashed.Load() {
 		l.flush(b)
 	}
 }
@@ -411,31 +437,35 @@ func (l *Log) writerLoop() {
 //	WalPostFsync  — durable but unacknowledged: the records survive, the
 //	                committers never hear back. Recovery may resurrect them.
 //
-// On crash the batch's waiters are failed with ErrCrashed (the ack never
-// happened), and the log freezes.
+// On crash the log freezes, which fails the batch's waiters with ErrCrashed
+// (the ack never happened).
 func (l *Log) flush(b *batch) {
 	l.batches.Add(1)
 	if err := l.rotateIfNeeded(b); err != nil {
-		l.completeBatch(b, err, 0)
+		l.freeze(err)
 		return
 	}
 	startOff, _ := l.f.Seek(0, 1) // io.SeekCurrent without the import
 
-	wrote := 0
+	// One write(2) per batch. Only an armed failpoint table can tear a
+	// batch between frames, so only then is it written frame by frame.
+	ends := b.recEnds
+	if faultpoint.Armed() == 0 {
+		ends = ends[len(ends)-1:]
+	}
 	prev := 0
-	for i, end := range b.recEnds {
+	for i, end := range ends {
 		if i > 0 && faultpoint.Hit(faultpoint.WalMidBatch) == faultpoint.Crash {
 			// Torn write: half of the next frame follows the full prefix.
 			torn := b.buf[prev : prev+(end-prev)/2]
 			l.f.Write(torn)
-			l.crash(b)
+			l.crash()
 			return
 		}
 		if _, err := l.f.Write(b.buf[prev:end]); err != nil {
-			l.completeBatch(b, fmt.Errorf("wal: write: %w", err), 0)
+			l.freeze(fmt.Errorf("wal: write: %w", err))
 			return
 		}
-		wrote += end - prev
 		prev = end
 	}
 
@@ -444,54 +474,43 @@ func (l *Log) flush(b *batch) {
 		// kernel never wrote these pages back.
 		l.f.Truncate(startOff)
 		l.f.Seek(startOff, 0)
-		l.crash(b)
+		l.crash()
 		return
 	}
 	if err := l.f.Sync(); err != nil {
-		l.completeBatch(b, fmt.Errorf("wal: fsync: %w", err), 0)
+		l.freeze(fmt.Errorf("wal: fsync: %w", err))
 		return
 	}
 	l.fsyncs.Add(1)
 	l.records.Add(uint64(len(b.recEnds)))
-	l.segSize += int64(wrote)
+	l.segSize += int64(len(b.buf))
 	if faultpoint.Hit(faultpoint.WalPostFsync) == faultpoint.Crash {
 		// Durable but unacked: the records stay; the waiters never learn.
-		l.crash(b)
+		l.crash()
 		return
 	}
-	l.completeBatch(b, nil, b.lastLSN)
+	l.durable.Store(b.lastLSN)
+	l.announce()
 }
 
-// completeBatch settles a batch: on success it advances the durable LSN; on
-// any error — a simulated crash or a real I/O failure — it freezes the log
-// (no further writes, every future committer fails fast) and fails the open
-// next batch too, whose committers would otherwise block on a writer that no
-// longer runs.
-func (l *Log) completeBatch(b *batch, err error, durableLSN uint64) {
+// freeze stops the log for good after a failed flush, a simulated crash, or
+// a kill on a non-writer path (checkpoint, prune, two-phase failpoints): no
+// further writes, every future committer fails fast with err, and every
+// waiter short of the durable LSN is released with it — those of the batch
+// that failed and those of the open batch behind it alike, whose records a
+// writer that no longer runs will never reach. The first cause sticks.
+func (l *Log) freeze(err error) {
 	l.mu.Lock()
-	if durableLSN > 0 {
-		l.durable.Store(durableLSN)
-	}
-	var next *batch
-	if err != nil && !l.crashed {
-		l.crashed = true
+	if !l.crashed.Load() {
 		l.ioerr = err
-		next = l.cur
-		l.cur = nil
+		l.crashed.Store(true)
 	}
-	l.flushDone.Broadcast()
 	l.mu.Unlock()
-	b.err = err
-	close(b.done)
-	if next != nil && next != b {
-		next.err = err
-		close(next.done)
-	}
+	l.announce()
 }
 
-// crash settles b as killed: the faultpoint path for simulated process
-// death.
-func (l *Log) crash(b *batch) { l.completeBatch(b, ErrCrashed, 0) }
+// crash is freeze for simulated process death.
+func (l *Log) crash() { l.freeze(ErrCrashed) }
 
 // Segment files: wal-<start LSN, hex>.seg, beginning with a 16-byte header
 // (magic + start LSN). Frames follow back to back.
@@ -499,6 +518,16 @@ const (
 	segMagic  = "TBWALSG1"
 	segHeader = 16
 )
+
+// segFile is what the writer asks of the open segment: an *os.File, or a
+// test's call-counting wrapper around one.
+type segFile interface {
+	Write(p []byte) (int, error)
+	Seek(offset int64, whence int) (int64, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
 
 func segName(startLSN uint64) string { return fmt.Sprintf("wal-%016x.seg", startLSN) }
 

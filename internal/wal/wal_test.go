@@ -111,6 +111,43 @@ func TestAbortedTxLeavesNoRecord(t *testing.T) {
 	}
 }
 
+// TestParallelBranchesReachTheLogWhole: two Parallel branches of one
+// transaction emit through the same binding into the same redo arena; the
+// record must hold every op of both, each decodable, and recover to the
+// state the branches built.
+func TestParallelBranchesReachTheLogWhole(t *testing.T) {
+	dir := t.TempDir()
+	sys, set, l, _ := durableSet(t, dir, wal.Options{Mode: wal.Group})
+	const perBranch = 100
+	branch := func(base int64) func(tx *stm.Tx) error {
+		return func(tx *stm.Tx) error {
+			for k := base; k < base+perBranch; k++ {
+				set.Add(tx, k<<20) // multi-byte varints, so a torn op would not decode
+			}
+			return nil
+		}
+	}
+	if err := sys.Atomic(func(tx *stm.Tx) error {
+		set.Add(tx, -1)
+		return tx.Parallel(branch(0), branch(1000))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := setKeys(t, set)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := wal.DumpDir(dir)
+	if err != nil || len(d.Records) != 1 || len(d.Records[0].Ops) != 1+2*perBranch {
+		t.Fatalf("dump: %v, %d records, want one with %d ops", err, len(d.Records), 1+2*perBranch)
+	}
+	_, set2, l2, _ := durableSet(t, dir, wal.Options{Mode: wal.Group})
+	defer l2.Close()
+	if got := setKeys(t, set2); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered %d keys, want %d: %v", len(got), len(want), got)
+	}
+}
+
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	sys, set, l, _ := durableSet(t, dir, wal.Options{Mode: wal.Group})
