@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-short test-benchmark vet check fuzz-lockmgr fuzz-contention fuzz-contention-race fuzz-codec fuzz-lazy fuzz-snapshot fuzz-snapshot-race fuzz-adaptive fuzz-adaptive-race fuzz-2pc fuzz-2pc-race chaos chaos-race chaos-crash chaos-2pc bench bench-micro bench-e2e bench-json bench-readmix bench-adaptive bench-twopc
+.PHONY: build test test-race test-short test-cpu test-benchmark vet check fuzz-lockmgr fuzz-contention fuzz-contention-race fuzz-codec fuzz-lazy fuzz-snapshot fuzz-snapshot-race fuzz-adaptive fuzz-adaptive-race fuzz-2pc fuzz-2pc-race chaos chaos-race chaos-crash chaos-2pc bench bench-micro bench-e2e bench-json bench-readmix bench-adaptive bench-twopc
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ test-race:
 test-short:
 	$(GO) test -short ./...
 
+# The base objects and the kernel at one, two and four scheduler threads: a
+# linearizable base is the boosting theorem's premise, and one that is only
+# correct on one core (internal/cheap lost and duplicated items until PR 14)
+# must not go green. -count=1 defeats the test cache.
+test-cpu:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/cheap/ ./internal/skiplist/ ./internal/deque/ ./internal/hashset/ ./internal/lockmgr/ ./internal/stm/ ./internal/boost/ ./internal/core/
+
 vet:
 	$(GO) vet ./...
 
@@ -22,15 +29,16 @@ test-benchmark:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# The default verification chain: build, vet, full tests, the full suite
-# under the race detector (the single-owner fast path's safety argument is
-# checked here every time), and two short fuzz passes: the striped interval
-# table against the single-mutex reference model, and the wound-wait/detect
+# The default verification chain: build, vet, full tests, the base objects
+# and the kernel again at -cpu 1,2,4, the full suite under the race detector
+# (the single-owner fast path's safety argument is checked here every time),
+# and two short fuzz passes: the striped interval table against the
+# single-mutex reference model, and the wound-wait/detect
 # contention policies against the timeout oracle. Go allows one -fuzz pattern
 # per invocation, hence separate targets; fuzz-lazy differentially checks
 # the lazy discipline (deferral + commit-time fusion) against the eager
 # oracle on identical op programs.
-check: build vet test test-benchmark test-race fuzz-lockmgr fuzz-contention fuzz-lazy fuzz-snapshot fuzz-adaptive fuzz-2pc
+check: build vet test test-cpu test-benchmark test-race fuzz-lockmgr fuzz-contention fuzz-lazy fuzz-snapshot fuzz-adaptive fuzz-2pc
 
 fuzz-lockmgr:
 	$(GO) test -run NONE -fuzz FuzzStripedRangeLockEquivalence -fuzztime 10s ./internal/lockmgr/

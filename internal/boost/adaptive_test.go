@@ -332,12 +332,10 @@ func TestAdaptiveUndoAndVersionsSurviveMigration(t *testing.T) {
 	obj := NewAdaptive[int64](sys).EnableVersions()
 	for round := 0; round < 2; round++ {
 		inverses := 0
+		und := &tagUndo{fn: func(int) { inverses++ }}
 		_ = sys.Atomic(func(tx *stm.Tx) error {
-			obj.Apply(tx, Op[int64]{
-				Demand:  DemandKey,
-				Key:     int64(round),
-				Inverse: func() { inverses++ },
-			})
+			obj.Acquire(tx, Key(int64(round)))
+			und.log(tx, round)
 			return errAbort
 		})
 		if inverses != 1 {

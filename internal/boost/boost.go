@@ -12,8 +12,11 @@
 //   - which lock Discipline the object uses (per-key, coarse, readers/writer,
 //     interval), chosen at construction;
 //   - per method, an Op descriptor: the call's abstract-lock Demand (its
-//     conflict footprint) plus the closures that make it undoable (Inverse)
-//     or deferrable (OnCommit/OnAbort).
+//     conflict footprint) plus the disposables that make it deferrable
+//     (OnCommit/OnAbort);
+//   - per object, one undo record type and the ApplyUndo method that turns a
+//     record back into the inverse base call (Undo, undo.go): Rule 3's
+//     "which inverse, with which arguments" kept as data.
 //
 // The Demand names what the *method* needs semantically; the Discipline
 // names how the *object* chose to approximate its conflict relation. Acquire
@@ -22,8 +25,8 @@
 // argument, not a second implementation.
 //
 // The kernel preserves the hot-path contract of DESIGN.md §6: descriptors
-// are plain values (no allocation), and the only allocation a boosted
-// mutation pays is its inverse closure.
+// and undo records are plain values, so a boosted mutation allocates
+// nothing.
 package boost
 
 import (
@@ -78,9 +81,10 @@ func (d Demand) String() string {
 }
 
 // Op is the descriptor for one boosted method call: the abstract-lock demand
-// it presents to Acquire, and the closures Record hands to the runtime. An
-// Op is a plain value — building one allocates nothing beyond the closures
-// the caller chooses to fill in.
+// it presents to Acquire, and the disposables Record hands to the runtime.
+// An Op is a plain value — building one allocates nothing beyond the
+// closures the caller chooses to fill in. The call's inverse is not part of
+// it: that is a typed record logged through the object's Undo.
 type Op[K comparable] struct {
 	// Demand is the call's conflict footprint; Key or [Lo, Hi] qualify it
 	// for the key- and interval-granular demands.
@@ -88,10 +92,6 @@ type Op[K comparable] struct {
 	Key    K
 	Lo, Hi K
 
-	// Inverse is the compensating call logged for Rule 3; it runs (in
-	// reverse logging order) iff the transaction aborts. Nil for read-only
-	// or ineffective calls.
-	Inverse func()
 	// OnCommit is a disposable call deferred until after commit (Rule 4),
 	// e.g. releasing a semaphore or freeing storage.
 	OnCommit func()
@@ -431,14 +431,9 @@ func (o *Object[K]) Acquire(tx *stm.Tx, op Op[K]) {
 	}
 }
 
-// Record hands op's closures to the runtime: the inverse joins the undo log
-// (replayed in reverse on abort), the disposables are deferred to after the
-// transaction's outcome. Callers invoke Record after the base-object call
-// has succeeded, so the inverse compensates exactly what happened.
+// Record hands op's disposables to the runtime, deferred to after the
+// transaction's outcome (Rule 4).
 func (o *Object[K]) Record(tx *stm.Tx, op Op[K]) {
-	if op.Inverse != nil {
-		tx.Log(op.Inverse)
-	}
 	if op.OnCommit != nil {
 		tx.OnCommit(op.OnCommit)
 	}
@@ -459,17 +454,19 @@ func (o *Object[K]) Relock(tx *stm.Tx, key K) {
 }
 
 // Apply executes a whole descriptor: Acquire, then Record. It suits calls
-// whose inverse does not depend on the base call's result (a counter add);
-// calls that must first observe the base object's answer use Acquire, run
-// the call, and Record the outcome-dependent closures.
+// whose disposables do not depend on the base call's result; calls that
+// must first observe the base object's answer use Acquire, run the call,
+// and Record the outcome-dependent closures.
 func (o *Object[K]) Apply(tx *stm.Tx, op Op[K]) {
 	o.Acquire(tx, op)
 	o.Record(tx, op)
 }
 
 // Inverse logs a compensating inverse with the running transaction
-// (Rule 3): it runs iff tx aborts, in reverse logging order. This is the
-// kernel's only door to the undo log; boosted objects never call tx.Log.
+// (Rule 3): it runs iff tx aborts, in reverse logging order. It is the door
+// for inverses with no arguments to record — pass a method value bound at
+// construction and the call allocates nothing; an inverse that carries
+// arguments is a typed record (Undo.Log). Boosted objects never call tx.Log.
 func Inverse(tx *stm.Tx, undo func()) { tx.Log(undo) }
 
 // OnCommit defers a disposable call to after tx commits (Rule 4).

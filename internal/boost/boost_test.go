@@ -2,6 +2,7 @@ package boost
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -115,6 +116,16 @@ func TestDemandNoneIsUniversal(t *testing.T) {
 	}
 }
 
+// tagUndo is a test spec whose undo records are bare tags: replaying one
+// hands the tag to fn.
+type tagUndo struct {
+	Undo[int]
+	fn func(int)
+}
+
+func (u *tagUndo) ApplyUndo(tag int)       { u.fn(tag) }
+func (u *tagUndo) log(tx *stm.Tx, tag int) { u.Log(tx, u, tag) }
+
 // TestInversesReplayInReverseOrder: Rule 3 requires the undo log to be
 // replayed strictly last-in first-out; anything else can reconstruct a state
 // the object never had.
@@ -122,14 +133,11 @@ func TestInversesReplayInReverseOrder(t *testing.T) {
 	sys := newSys()
 	obj := NewKeyed[int64]()
 	var replay []int
+	und := &tagUndo{fn: func(i int) { replay = append(replay, i) }}
 	err := sys.Atomic(func(tx *stm.Tx) error {
 		for i := 0; i < 8; i++ {
-			i := i
-			obj.Apply(tx, Op[int64]{
-				Demand:  DemandKey,
-				Key:     int64(i),
-				Inverse: func() { replay = append(replay, i) },
-			})
+			obj.Acquire(tx, Key(int64(i)))
+			und.log(tx, i)
 		}
 		return errAbort
 	})
@@ -151,8 +159,10 @@ func TestCommitRunsNoInverses(t *testing.T) {
 	sys := newSys()
 	obj := NewCoarse[int64]()
 	inverses := 0
+	und := &tagUndo{fn: func(int) { inverses++ }}
 	stm.MustAtomicOn(sys, func(tx *stm.Tx) {
-		obj.Apply(tx, Op[int64]{Demand: DemandExcl, Inverse: func() { inverses++ }})
+		obj.Acquire(tx, Excl[int64]())
+		und.log(tx, 0)
 	})
 	if inverses != 0 {
 		t.Fatalf("commit ran %d inverses", inverses)
@@ -194,19 +204,20 @@ func TestOnAbortRunsAfterRollback(t *testing.T) {
 	sys := newSys()
 	obj := NewKeyed[int64]()
 	var order []string
+	und := &tagUndo{fn: func(i int) { order = append(order, fmt.Sprint("inverse-", i)) }}
 	_ = sys.Atomic(func(tx *stm.Tx) error {
 		obj.Apply(tx, Op[int64]{
 			Demand:  DemandKey,
 			Key:     1,
-			Inverse: func() { order = append(order, "inverse-1") },
 			OnAbort: func() { order = append(order, "dispose-1") },
 		})
+		und.log(tx, 1)
 		obj.Apply(tx, Op[int64]{
 			Demand:  DemandKey,
 			Key:     2,
-			Inverse: func() { order = append(order, "inverse-2") },
 			OnAbort: func() { order = append(order, "dispose-2") },
 		})
+		und.log(tx, 2)
 		return errAbort
 	})
 	if len(order) != 4 {

@@ -12,7 +12,8 @@ import (
 // applied inside one transaction (2 bits: discipline-legal op shape, 6 bits:
 // key) and checks the kernel's two ordering guarantees on every input:
 //
-//   - inverses replay in exact reverse logging order, and only on abort;
+//   - inverses replay in exact reverse logging order, and only on abort,
+//     whichever of two typed record stacks or the closure stack holds them;
 //   - disposables never run before the transaction's outcome is decided,
 //     and the outcome picks exactly one of OnCommit/OnAbort per descriptor.
 //
@@ -50,6 +51,13 @@ func FuzzKernelReplay(f *testing.F) {
 			nCommitFns = 0
 			nAbortFns  = 0
 		)
+		replay := func(i int) {
+			if len(aborted) != 0 {
+				t.Error("inverse ran after an OnAbort disposable")
+			}
+			replayed = append(replayed, i)
+		}
+		undoA, undoB := &tagUndo{fn: replay}, &tagUndo{fn: replay}
 		err := sys.Atomic(func(tx *stm.Tx) error {
 			for i, b := range ops {
 				i := i
@@ -61,7 +69,7 @@ func FuzzKernelReplay(f *testing.F) {
 					engine = keyed
 					op.Demand = DemandKey
 					op.Key = k
-					op.Inverse = func() { replayed = append(replayed, i) }
+					undoA.log(tx, i)
 					logged = append(logged, i)
 					nInverses++
 				case 1: // keyed call, read-only (lock, no log)
@@ -91,11 +99,10 @@ func FuzzKernelReplay(f *testing.F) {
 					nCommitFns++
 					nAbortFns++
 				case 3: // inverse + abort disposable: disposal must follow replay
-					op.Inverse = func() {
-						if len(aborted) != 0 {
-							t.Error("inverse ran after an OnAbort disposable")
-						}
-						replayed = append(replayed, i)
+					if k&1 == 0 {
+						undoB.log(tx, i)
+					} else {
+						Inverse(tx, func() { replay(i) })
 					}
 					op.OnAbort = func() {
 						if inBody {

@@ -189,15 +189,14 @@ func (h *Heap[V]) RemoveMin() (prio int64, val V, ok bool) {
 
 	h.slots[1].mu.Lock()
 	if h.slots[1].tag == tagEmpty {
-		// The root was the slot we just emptied... impossible since
-		// last != 1, but a concurrent delete may have drained the heap
-		// through the root. Re-insert our grabbed item? Cannot happen:
-		// deletes always refill the root before unlocking it, and the
-		// root slot is only emptied when it is the last slot, which is
-		// serialized by heapLock. Treat defensively as corrupt state.
-		h.slots[1].tag = tagAvailable
-		h.slots[1].prio = lp
-		h.slots[1].val = lv
+		// A legal state, not a corrupt one: between our release of
+		// heapLock and this lock, a later remover found count == 1, took
+		// the root as its own last slot and emptied it. The heap is empty
+		// and the item we grabbed is the one we remove — return it and
+		// touch nothing, as Hunt et al. do. Writing it back into the root
+		// here would plant an item count does not cover: a concurrent
+		// remover still on its way to the root would return it a second
+		// time and strand its own grabbed item in its place.
 		h.slots[1].mu.Unlock()
 		return lp, lv, true
 	}

@@ -209,6 +209,77 @@ func TestConcurrentMixedAddRemove(t *testing.T) {
 	}
 }
 
+// TestConcurrentRemoversOnNearEmptyHeap pins the interleaving behind a lost
+// and duplicated item: with three items left, remover A grabs slot 3,
+// remover B grabs slot 2, remover C takes the root as the last slot and
+// empties it; B then finds the root empty. B must return the item it grabbed
+// and leave the root alone — writing it back planted an item the count did
+// not cover, which A returned a second time while stranding its own. Each
+// round races three removers and one adder over at most three uniquely
+// numbered items, then checks at rest that an empty heap shows no root and
+// that what came out is exactly what went in.
+func TestConcurrentRemoversOnNearEmptyHeap(t *testing.T) {
+	const rounds = 20000
+	h := NewCapacity[int64](7)
+	seen := make([]uint8, 3*rounds)
+	for r := 0; r < rounds; r++ {
+		base := int64(3 * r)
+		for j := int64(0); j < 2; j++ {
+			h.Add(base+j, base+j)
+		}
+		start := make(chan struct{})
+		var got [3][]int64
+		var wg sync.WaitGroup
+		wg.Add(4)
+		go func() {
+			defer wg.Done()
+			<-start
+			h.Add(base+2, base+2)
+		}()
+		for g := range got {
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 2; i++ {
+					if p, v, ok := h.RemoveMin(); ok {
+						if p != v {
+							t.Errorf("round %d: payload %d under priority %d", r, v, p)
+						}
+						got[g] = append(got[g], v)
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if h.Len() == 0 {
+			if p, _, ok := h.Min(); ok {
+				t.Fatalf("round %d: Len() == 0 but Min() reports %d: an item outside the count", r, p)
+			}
+		}
+		for {
+			_, v, ok := h.RemoveMin()
+			if !ok {
+				break
+			}
+			got[0] = append(got[0], v)
+		}
+		for _, vs := range got {
+			for _, v := range vs {
+				if v < base || v >= base+3 {
+					t.Fatalf("round %d: removed %d, which this round never added", r, v)
+				}
+				seen[v]++
+			}
+		}
+		for v := base; v < base+3; v++ {
+			if seen[v] != 1 {
+				t.Fatalf("round %d: item %d came out %d times, want once", r, v, seen[v])
+			}
+		}
+	}
+}
+
 func TestMinDoesNotRemove(t *testing.T) {
 	h := NewCapacity[int](16)
 	h.Add(3, 3)

@@ -22,7 +22,11 @@ import (
 type Counter struct {
 	value atomic.Int64
 	obj   *boost.Object[int64]
+	undo  boost.Undo[int64]
 }
+
+// ApplyUndo subtracts a recorded delta again.
+func (c *Counter) ApplyUndo(delta int64) { c.value.Add(-delta) }
 
 // NewCounter returns a counter with the given initial value.
 func NewCounter(initial int64) *Counter {
@@ -33,13 +37,11 @@ func NewCounter(initial int64) *Counter {
 
 // Add adds delta to the counter. The update takes effect immediately (the
 // base fetch-and-add is the linearization); the inverse subtracts it.
-// Concurrent transactional Adds never conflict. The whole call is one
-// descriptor: shared demand plus a delta-determined inverse.
+// Concurrent transactional Adds never conflict: a shared demand, and the
+// delta as the undo record.
 func (c *Counter) Add(tx *stm.Tx, delta int64) {
-	c.obj.Apply(tx, boost.Op[int64]{
-		Demand:  boost.DemandShared,
-		Inverse: func() { c.value.Add(-delta) },
-	})
+	c.obj.Acquire(tx, boost.Shared[int64]())
+	c.undo.Log(tx, c, delta)
 	c.value.Add(delta)
 }
 

@@ -17,9 +17,9 @@
 //
 // Since the kernel extraction (DESIGN.md §7), the objects in this package
 // are thin *specs* over internal/boost: each method states its abstract-lock
-// demand and its outcome's inverse or disposables as an Op descriptor, and
-// the kernel executes the descriptor against internal/stm and
-// internal/lockmgr. No object in this package touches the undo log or the
+// demand and disposables as an Op descriptor, each object states its inverse
+// once as a typed undo record plus an ApplyUndo method, and the kernel
+// executes both against internal/stm and internal/lockmgr. No object in this package touches the undo log or the
 // lock manager directly, and the collection types are generic over their key
 // space (any comparable type; ordered types for range disciplines).
 //

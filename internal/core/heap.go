@@ -56,6 +56,23 @@ type Heap[V any] struct {
 	base BaseHeap[*Holder[V]]
 	obj  *boost.Object[int64]
 	mode HeapMode
+	undo boost.Undo[heapUndo[V]]
+}
+
+// heapUndo is the heap's undo record: the holder a call inserted or took
+// out.
+type heapUndo[V any] struct {
+	holder  *Holder[V]
+	removed bool
+}
+
+// ApplyUndo marks an added holder deleted rather than restructuring the
+// heap (§3.2), or puts a removed holder back.
+func (h *Heap[V]) ApplyUndo(e heapUndo[V]) {
+	e.holder.deleted.Store(!e.removed)
+	if e.removed {
+		h.base.Add(e.holder.Key, e.holder)
+	}
 }
 
 // NewHeap returns a boosted heap in the given mode over the fine-grained
@@ -91,7 +108,7 @@ func (h *Heap[V]) Add(tx *stm.Tx, key int64, val V) {
 	if !h.base.Add(key, holder) {
 		tx.Abort(stm.ErrAborted) // base heap at capacity; retry later
 	}
-	h.obj.Record(tx, boost.Op[int64]{Inverse: func() { holder.deleted.Store(true) }})
+	h.undo.Log(tx, h, heapUndo[V]{holder, false})
 }
 
 // RemoveMin removes and returns the smallest key and its value; ok is false
@@ -108,10 +125,7 @@ func (h *Heap[V]) RemoveMin(tx *stm.Tx) (key int64, val V, ok bool) {
 		if holder.deleted.Load() {
 			continue // lazily discard aborted adds
 		}
-		h.obj.Record(tx, boost.Op[int64]{Inverse: func() {
-			holder.deleted.Store(false)
-			h.base.Add(k, holder)
-		}})
+		h.undo.Log(tx, h, heapUndo[V]{holder, true})
 		return k, holder.Val, true
 	}
 }

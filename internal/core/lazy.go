@@ -35,12 +35,10 @@ func (s *Set[K]) LazyValidate(e boost.LazyEntry[K]) bool {
 // caller never asked for an answer) is an upsert: a no-op base call just
 // means the key was already in the desired state. Either way the actual
 // effect is stashed in e.N for LazyUnapply, and only an effective call
-// records an inverse or emits a forward image. eager=true is the
-// early-flush path: the transaction may still abort, so the inverse is
-// recorded exactly as the eager methods record it.
+// logs an undo record or emits a forward image. eager=true is the
+// early-flush path: the transaction may still abort, so the record is
+// logged exactly as the eager methods log it.
 func (s *Set[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
-	// e points into the log's net-op scratch, which later fusions rebuild;
-	// closures that outlive this call must capture the key by value.
 	k := e.Key
 	// The drain (and the early flush) holds k's abstract lock, so the
 	// seed-before-mutate protocol applies here exactly as in the eager
@@ -57,7 +55,7 @@ func (s *Set[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
 		}
 		e.N = 1
 		if eager {
-			s.obj.Record(tx, boost.Op[K]{Inverse: func() { s.base.Remove(k) }})
+			s.undo.Log(tx, s, keyUndo[K]{k, true})
 		}
 		s.obj.Emit(tx, RedoAdd, k)
 		if live {
@@ -69,7 +67,7 @@ func (s *Set[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
 		}
 		e.N = 1
 		if eager {
-			s.obj.Record(tx, boost.Op[K]{Inverse: func() { s.base.Add(k) }})
+			s.undo.Log(tx, s, keyUndo[K]{k, false})
 		}
 		s.obj.Emit(tx, RedoRemove, k)
 		if live {
@@ -111,7 +109,7 @@ func (m *Multiset[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) b
 	if e.Kind != boost.LazyInc {
 		return true
 	}
-	k := e.Key // capture by value: e points into reusable net-op scratch
+	k := e.Key
 	live := m.obj.VersioningLive(tx)
 	if live && e.N != 0 && m.obj.NeedsSeed(k) {
 		m.seedCount(tx, k)
@@ -119,7 +117,7 @@ func (m *Multiset[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) b
 	for n := e.N; n > 0; n-- {
 		m.base.Add(k)
 		if eager {
-			m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.RemoveOne(k) }})
+			m.undo.Log(tx, m, keyUndo[K]{k, true})
 		}
 		m.obj.Emit(tx, RedoAdd, k)
 	}
@@ -128,7 +126,7 @@ func (m *Multiset[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) b
 			break
 		}
 		if eager {
-			m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Add(k) }})
+			m.undo.Log(tx, m, keyUndo[K]{k, false})
 		}
 		m.obj.Emit(tx, RedoRemove, k)
 	}
@@ -164,7 +162,7 @@ func (m *Map[K, V]) LazyValidate(e boost.LazyEntry[K]) bool {
 // the apply always reports success; the displaced binding is stashed into
 // the entry for LazyUnapply.
 func (m *Map[K, V]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
-	k := e.Key // capture by value: e points into reusable net-op scratch
+	k := e.Key
 	live := m.obj.VersioningLive(tx)
 	if live && m.obj.NeedsSeed(k) {
 		m.seedBinding(tx, k)
@@ -174,11 +172,7 @@ func (m *Map[K, V]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) boo
 		val := e.Val.(V)
 		old, existed := m.base.Put(k, val)
 		if eager {
-			if existed {
-				m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Put(k, old) }})
-			} else {
-				m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Delete(k) }})
-			}
+			m.undo.Log(tx, m, mapUndo[K, V]{k, old, existed})
 		}
 		if m.encVal != nil {
 			m.obj.EmitEnd(tx, RedoAdd, m.encVal(m.obj.EmitBegin(tx, k), val))
@@ -193,7 +187,7 @@ func (m *Map[K, V]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) boo
 			return true
 		}
 		if eager {
-			m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Put(k, old) }})
+			m.undo.Log(tx, m, mapUndo[K, V]{k, old, true})
 		}
 		m.obj.Emit(tx, RedoRemove, k)
 		if live {

@@ -21,6 +21,7 @@ type BaseMap[K comparable, V any] interface {
 type Map[K comparable, V any] struct {
 	base BaseMap[K, V]
 	obj  *boost.Object[K]
+	undo boost.Undo[mapUndo[K, V]]
 
 	// encVal appends a value's encoding to a redo op the journal opened on
 	// the key; set by BindMap, together with the journal. Nil (the default)
@@ -32,6 +33,23 @@ type Map[K comparable, V any] struct {
 	// NewLazyMap constrains V to comparable so the comparison is
 	// well-defined, a bound the eager Map does not need.
 	lazyEq func(obsVal any, obsOK bool, cur V, curOK bool) bool
+}
+
+// mapUndo is the map's undo record: the binding key had before the call,
+// which Put and Delete both return. One shape covers every inverse.
+type mapUndo[K comparable, V any] struct {
+	key     K
+	old     V
+	existed bool
+}
+
+// ApplyUndo restores the recorded binding, or removes a key that was fresh.
+func (m *Map[K, V]) ApplyUndo(e mapUndo[K, V]) {
+	if e.existed {
+		m.base.Put(e.key, e.old)
+	} else {
+		m.base.Delete(e.key)
+	}
 }
 
 // NewMap boosts a linearizable base map.
@@ -55,11 +73,7 @@ func (m *Map[K, V]) Put(tx *stm.Tx, key K, val V) (V, bool) {
 		m.seedBinding(tx, key)
 	}
 	old, existed := m.base.Put(key, val)
-	if existed {
-		m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Put(key, old) }})
-	} else {
-		m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Delete(key) }})
-	}
+	m.undo.Log(tx, m, mapUndo[K, V]{key, old, existed})
 	if m.encVal != nil {
 		m.obj.EmitEnd(tx, RedoAdd, m.encVal(m.obj.EmitBegin(tx, key), val))
 	}
@@ -95,7 +109,7 @@ func (m *Map[K, V]) Delete(tx *stm.Tx, key K) (V, bool) {
 	}
 	old, existed := m.base.Delete(key)
 	if existed {
-		m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Put(key, old) }})
+		m.undo.Log(tx, m, mapUndo[K, V]{key, old, true})
 		m.obj.Emit(tx, RedoRemove, key)
 		if live {
 			m.obj.RecordVersion(tx, key, boost.Version{Present: false})

@@ -14,6 +14,17 @@ import (
 type Multiset[K comparable] struct {
 	base *hashset.MultiSet[K]
 	obj  *boost.Object[K]
+	undo boost.Undo[keyUndo[K]]
+}
+
+// ApplyUndo takes back one occurrence the call added, or restores one it
+// removed.
+func (m *Multiset[K]) ApplyUndo(e keyUndo[K]) {
+	if e.added {
+		m.base.RemoveOne(e.key)
+	} else {
+		m.base.Add(e.key)
+	}
 }
 
 // NewMultiset returns a boosted bag over a striped concurrent multiset.
@@ -22,8 +33,7 @@ func NewMultiset[K comparable]() *Multiset[K] {
 }
 
 // Add inserts one occurrence of key and returns the resulting count.
-// Eager: inverse removeOne(key), unconditionally — Apply takes the whole
-// descriptor at once because the inverse does not depend on the result.
+// Eager: inverse removeOne(key), unconditionally.
 // Lazy: a +1 delta joins the pending log; deltas on one key fuse into a
 // single net increment at commit (inc∘inc combine).
 func (m *Multiset[K]) Add(tx *stm.Tx, key K) int {
@@ -32,11 +42,8 @@ func (m *Multiset[K]) Add(tx *stm.Tx, key K) int {
 		lg.Append(boost.LazyEntry[K]{Kind: boost.LazyInc, Key: key, N: 1})
 		return count + 1
 	}
-	m.obj.Apply(tx, boost.Op[K]{
-		Demand:  boost.DemandKey,
-		Key:     key,
-		Inverse: func() { m.base.RemoveOne(key) },
-	})
+	m.obj.Acquire(tx, boost.Key(key))
+	m.undo.Log(tx, m, keyUndo[K]{key, true})
 	live := m.obj.VersioningLive(tx)
 	if live && m.obj.NeedsSeed(key) {
 		m.seedCount(tx, key)
@@ -77,7 +84,7 @@ func (m *Multiset[K]) RemoveOne(tx *stm.Tx, key K) bool {
 	if !m.base.RemoveOne(key) {
 		return false
 	}
-	m.obj.Record(tx, boost.Op[K]{Inverse: func() { m.base.Add(key) }})
+	m.undo.Log(tx, m, keyUndo[K]{key, false})
 	m.obj.Emit(tx, RedoRemove, key)
 	if live {
 		n := int64(m.base.Count(key))

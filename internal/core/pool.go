@@ -19,7 +19,12 @@ type Pool[T any] struct {
 	fresh func() T
 	// allocs/frees count committed operations, for tests.
 	allocs, frees int64
+	undo          boost.Undo[T]
 }
+
+// ApplyUndo puts an object an aborted Alloc handed out back on the free
+// list.
+func (p *Pool[T]) ApplyUndo(v T) { p.putBack(v, true) }
 
 // NewPool returns a pool that calls fresh when the free list is empty.
 func NewPool[T any](fresh func() T) *Pool[T] {
@@ -41,7 +46,7 @@ func (p *Pool[T]) Alloc(tx *stm.Tx) T {
 	}
 	p.allocs++
 	p.mu.Unlock()
-	boost.Inverse(tx, func() { p.putBack(v, true) })
+	p.undo.Log(tx, p, v)
 	return v
 }
 

@@ -25,11 +25,14 @@ type Privatizer struct {
 	accessors int
 	private   bool
 	gen       chan struct{} // closed on each state change
+	leave     func()        // p.exit, bound once: Access's inverse and its disposable
 }
 
 // NewPrivatizer returns a Privatizer in shared (transactional) mode.
 func NewPrivatizer() *Privatizer {
-	return &Privatizer{}
+	p := &Privatizer{}
+	p.leave = p.exit
+	return p
 }
 
 func (p *Privatizer) broadcast() {
@@ -62,8 +65,8 @@ func (p *Privatizer) Access(tx *stm.Tx) {
 				timer.Stop()
 			}
 			// Undo on abort; disposable decrement after commit.
-			boost.Inverse(tx, func() { p.exit() })
-			boost.OnCommit(tx, func() { p.exit() })
+			boost.Inverse(tx, p.leave)
+			boost.OnCommit(tx, p.leave)
 			return
 		}
 		wait := p.waitCh()

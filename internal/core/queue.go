@@ -28,6 +28,23 @@ type Queue[T any] struct {
 	base  *deque.Deque[T]
 	full  *Semaphore // free slots: block producers when zero
 	empty *Semaphore // committed items: block consumers when zero
+	undo  boost.Undo[queueUndo[T]]
+}
+
+// queueUndo is the queue's undo record: an offer is undone from the back,
+// a take by putting the taken item back at the front.
+type queueUndo[T any] struct {
+	v    T
+	took bool
+}
+
+// ApplyUndo runs the recorded call's inverse on the deque.
+func (q *Queue[T]) ApplyUndo(e queueUndo[T]) {
+	if e.took {
+		q.base.OfferFirst(e.v)
+	} else {
+		q.base.TakeLast()
+	}
 }
 
 // NewQueue returns a queue with the given capacity and semaphore timeout
@@ -56,7 +73,7 @@ func (q *Queue[T]) Offer(tx *stm.Tx, v T) {
 	q.full.Acquire(tx) // immediate: reserves a slot, inverse logged inside
 	q.base.OfferLast(v)
 	q.empty.Release(tx) // disposable: publishes the item at commit
-	boost.Inverse(tx, func() { q.base.TakeLast() })
+	q.undo.Log(tx, q, queueUndo[T]{})
 }
 
 // Take dequeues the oldest committed item, blocking while none is
@@ -66,7 +83,7 @@ func (q *Queue[T]) Take(tx *stm.Tx) T {
 	q.empty.Acquire(tx) // immediate: claims a committed item
 	v := q.base.TakeFirst()
 	q.full.Release(tx) // disposable: frees the slot at commit
-	boost.Inverse(tx, func() { q.base.OfferFirst(v) })
+	q.undo.Log(tx, q, queueUndo[T]{v, true})
 	return v
 }
 

@@ -17,6 +17,7 @@ type RefCount struct {
 	count   int64
 	onZero  func()
 	dropped bool
+	decr    func() // r.dec, bound once: Inc's inverse and Dec's disposable
 }
 
 // NewRefCount returns a reference count with the given initial value.
@@ -26,7 +27,9 @@ func NewRefCount(initial int64, onZero func()) *RefCount {
 	if initial < 0 {
 		initial = 0
 	}
-	return &RefCount{count: initial, onZero: onZero}
+	r := &RefCount{count: initial, onZero: onZero}
+	r.decr = r.dec
+	return r
 }
 
 // Inc increments the count immediately; if tx aborts, the logged inverse
@@ -34,15 +37,17 @@ func NewRefCount(initial int64, onZero func()) *RefCount {
 // an aborted Inc leaves no trace).
 func (r *RefCount) Inc(tx *stm.Tx) {
 	r.add(1)
-	boost.Inverse(tx, func() { r.add(-1) })
+	boost.Inverse(tx, r.decr)
 }
 
 // Dec schedules a decrement for after tx commits. The call is disposable:
 // no transaction can observe whether a pending decrement has happened yet,
 // because the count may only be compared against zero by the reclaimer.
 func (r *RefCount) Dec(tx *stm.Tx) {
-	boost.OnCommit(tx, func() { r.add(-1) })
+	boost.OnCommit(tx, r.decr)
 }
+
+func (r *RefCount) dec() { r.add(-1) }
 
 func (r *RefCount) add(d int64) {
 	r.mu.Lock()

@@ -37,6 +37,7 @@ type Semaphore struct {
 	count   int
 	gen     chan struct{} // closed on each increment to wake waiters
 	timeout time.Duration
+	inc     func() // s.increment, bound once: Acquire's inverse and Release's disposable
 }
 
 // NewSemaphore returns a semaphore with the given initial count and the
@@ -54,7 +55,9 @@ func NewSemaphoreTimeout(initial int, timeout time.Duration) *Semaphore {
 	if timeout <= 0 {
 		timeout = DefaultSemTimeout
 	}
-	return &Semaphore{count: initial, timeout: timeout}
+	s := &Semaphore{count: initial, timeout: timeout}
+	s.inc = s.increment
+	return s
 }
 
 // Acquire decrements the semaphore on behalf of tx, blocking while the
@@ -79,7 +82,7 @@ func (s *Semaphore) Acquire(tx *stm.Tx) {
 		tx.System().CountLockTimeout()
 		tx.Abort(ErrSemTimeout)
 	}
-	boost.Inverse(tx, func() { s.increment() })
+	boost.Inverse(tx, s.inc)
 }
 
 func (s *Semaphore) acquireTimeout(tx *stm.Tx, timeout time.Duration) bool {
@@ -123,7 +126,7 @@ func (s *Semaphore) acquireTimeout(tx *stm.Tx, timeout time.Duration) bool {
 // disposable: deferring it is unobservable, because no transaction can
 // distinguish "not yet released" from "about to be released".
 func (s *Semaphore) Release(tx *stm.Tx) {
-	boost.OnCommit(tx, func() { s.increment() })
+	boost.OnCommit(tx, s.inc)
 }
 
 func (s *Semaphore) increment() {

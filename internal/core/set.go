@@ -26,6 +26,23 @@ type BaseSet[K comparable] interface {
 type Set[K comparable] struct {
 	base BaseSet[K]
 	obj  *boost.Object[K]
+	undo boost.Undo[keyUndo[K]]
+}
+
+// keyUndo is the undo record of the set and the multiset: the key an
+// effective call touched and which way it moved it (Fig. 1's inverses).
+type keyUndo[K comparable] struct {
+	key   K
+	added bool
+}
+
+// ApplyUndo removes a key the call added, or puts back one it removed.
+func (s *Set[K]) ApplyUndo(e keyUndo[K]) {
+	if e.added {
+		s.base.Remove(e.key)
+	} else {
+		s.base.Add(e.key)
+	}
 }
 
 // NewKeyedSet boosts base with one abstract lock per key (the paper's
@@ -88,7 +105,7 @@ func (s *Set[K]) Add(tx *stm.Tx, key K) bool {
 	if !s.base.Add(key) {
 		return false
 	}
-	s.obj.Record(tx, boost.Op[K]{Inverse: func() { s.base.Remove(key) }})
+	s.undo.Log(tx, s, keyUndo[K]{key, true})
 	s.obj.Emit(tx, RedoAdd, key)
 	if live {
 		s.obj.RecordVersion(tx, key, boost.Version{Present: true})
@@ -116,7 +133,7 @@ func (s *Set[K]) Remove(tx *stm.Tx, key K) bool {
 	if !s.base.Remove(key) {
 		return false
 	}
-	s.obj.Record(tx, boost.Op[K]{Inverse: func() { s.base.Add(key) }})
+	s.undo.Log(tx, s, keyUndo[K]{key, false})
 	s.obj.Emit(tx, RedoRemove, key)
 	if live {
 		s.obj.RecordVersion(tx, key, boost.Version{Present: false})

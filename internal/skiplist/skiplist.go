@@ -234,28 +234,33 @@ func (s *Set[K]) Remove(key K) bool {
 	}
 }
 
+// seek descends to key's bottom-level position in a single wait-free
+// traversal with no helping: pred is the last node that precedes key, curr
+// the first that does not, logically deleted nodes skipped. The cursors are
+// the nodes themselves, so a read traversal allocates nothing.
+func (s *Set[K]) seek(key K) (pred, curr *node[K]) {
+	pred = s.head
+	for level := maxLevel - 1; level >= 0; level-- {
+		curr = pred.next[level].Load().n
+		for {
+			for ref := curr.nextRef(level); ref != nil && ref.marked; ref = curr.nextRef(level) {
+				curr = ref.n
+			}
+			if !curr.less(key) {
+				break
+			}
+			pred = curr
+			curr = pred.next[level].Load().n
+		}
+	}
+	return pred, curr
+}
+
 // Contains reports whether key is in the set. It is wait-free: a single
 // traversal with no helping.
 func (s *Set[K]) Contains(key K) bool {
-	pred := s.head
-	var curr *succ[K]
-	for level := maxLevel - 1; level >= 0; level-- {
-		curr = pred.next[level].Load()
-		for {
-			ref := curr.n.nextRef(level)
-			for ref != nil && ref.marked {
-				curr = &succ[K]{n: ref.n}
-				ref = curr.n.nextRef(level)
-			}
-			if curr.n.less(key) {
-				pred = curr.n
-				curr = pred.next[level].Load()
-			} else {
-				break
-			}
-		}
-	}
-	return curr.n.equals(key)
+	_, curr := s.seek(key)
+	return curr.equals(key)
 }
 
 // Len returns the current number of keys. It is accurate when quiescent and
@@ -270,37 +275,19 @@ func (s *Set[K]) Len() int {
 // of each individual key (callers wanting an atomic range view must
 // serialize externally — the boosted ordered set uses a range lock).
 func (s *Set[K]) AscendRange(lo, hi K, fn func(key K) bool) {
-	// Descend to the first node >= lo.
-	pred := s.head
-	for level := maxLevel - 1; level >= 0; level-- {
-		curr := pred.next[level].Load()
-		for {
-			ref := curr.n.nextRef(level)
-			for ref != nil && ref.marked {
-				curr = &succ[K]{n: ref.n}
-				ref = curr.n.nextRef(level)
-			}
-			if curr.n.less(lo) {
-				pred = curr.n
-				curr = pred.next[level].Load()
-			} else {
-				break
-			}
-		}
-	}
-	// Walk the bottom level.
-	ref := pred.next[0].Load()
-	for ref.n.sentinel != 1 {
-		next := ref.n.next[0].Load()
-		if ref.n.sentinel == 0 && ref.n.key >= lo {
-			if ref.n.key > hi {
+	pred, _ := s.seek(lo)
+	// Walk the bottom level from the last node before lo.
+	for n := pred.next[0].Load().n; n.sentinel != 1; {
+		next := n.next[0].Load()
+		if n.sentinel == 0 && n.key >= lo {
+			if n.key > hi {
 				return
 			}
-			if !next.marked && !fn(ref.n.key) {
+			if !next.marked && !fn(n.key) {
 				return
 			}
 		}
-		ref = &succ[K]{n: next.n}
+		n = next.n
 	}
 }
 
@@ -308,13 +295,12 @@ func (s *Set[K]) AscendRange(lo, hi K, fn func(key K) bool) {
 // Intended for tests and quiescent snapshots.
 func (s *Set[K]) Keys() []K {
 	var out []K
-	ref := s.head.next[0].Load()
-	for ref.n.sentinel != 1 {
-		next := ref.n.next[0].Load()
+	for n := s.head.next[0].Load().n; n.sentinel != 1; {
+		next := n.next[0].Load()
 		if !next.marked {
-			out = append(out, ref.n.key)
+			out = append(out, n.key)
 		}
-		ref = &succ[K]{n: next.n}
+		n = next.n
 	}
 	return out
 }

@@ -319,6 +319,35 @@ func TestAscendRangeSkipsDeleted(t *testing.T) {
 	}
 }
 
+// TestReadTraversalsAllocateNothing: a read walks with the nodes themselves
+// as cursors. A range over 512 keys (with deleted nodes to skip), a Contains
+// and the descent to a missing key must not touch the heap; Keys allocates
+// only its result.
+func TestReadTraversalsAllocateNothing(t *testing.T) {
+	s := New()
+	for k := int64(0); k < 640; k++ {
+		s.Add(k)
+	}
+	for k := int64(512); k < 640; k += 2 {
+		s.Remove(k)
+	}
+	n := 0
+	count := func(int64) bool { n++; return true }
+	if avg := testing.AllocsPerRun(100, func() {
+		n = 0
+		s.AscendRange(0, 511, count)
+		s.Contains(300)
+		s.Contains(1 << 40)
+	}); avg != 0 || n != 512 {
+		t.Fatalf("AscendRange over %d keys + two Contains allocate %.1f objects, want 512 keys and 0", n, avg)
+	}
+	var keys []int64
+	// The result slice doubles about ten times on its way to 576 keys.
+	if avg := testing.AllocsPerRun(100, func() { keys = s.Keys() }); len(keys) != 576 || avg > 16 {
+		t.Fatalf("Keys returned %d keys in %.1f allocations, want 576 keys and only the result's growth", len(keys), avg)
+	}
+}
+
 func TestRandomHeightDistribution(t *testing.T) {
 	counts := make([]int, maxLevel+1)
 	const n = 100000

@@ -74,15 +74,17 @@ func (tx *Tx) save() savepoint {
 // the savepoint, then the child's post-abort disposables. Handlers
 // registered by the child are discarded.
 //
-// The segments are detached under the transaction mutex and executed
-// outside it; savepoint indices are only meaningful while no sibling
-// Parallel branch is appending, so a Nested child must not run concurrently
-// with branches that log to the same transaction (see Nested).
+// The undo suffix replays first (the one index sp.undo is the whole undo
+// savepoint: popping the stack each later entry names undoes exactly the
+// child's records, see undo.go). The other segments are detached under the
+// transaction mutex and executed outside it; savepoint indices are only
+// meaningful while no sibling Parallel branch is appending, so a Nested
+// child must not run concurrently with branches that log to the same
+// transaction (see Nested).
 func (tx *Tx) rollbackTo(sp savepoint) {
-	tx.stateLock()
-	childUndo := append([]func(){}, tx.undo[sp.undo:]...)
-	tx.undo = clearTail(tx.undo, sp.undo)
+	tx.replayUndo(sp.undo)
 
+	tx.stateLock()
 	// The child's forward ops leave the redo stream with it: a rolled-back
 	// child must contribute nothing to the durable log. Its bytes leave the
 	// arena too; the parent's ops keep their views (a prefix survives any
@@ -110,8 +112,8 @@ func (tx *Tx) rollbackTo(sp savepoint) {
 	// Lazy pending logs mirror tx.redo: the child's deferred ops leave
 	// with it. Logs the child attached are detached here and recycled
 	// below; logs the parent had already attached are truncated back to
-	// their entry counts at child entry — but only after the child's undo
-	// replay, because an early-flush undo closure re-pends the entries it
+	// their entry counts at child entry — after the child's undo replay
+	// above, because an early-flush undo closure re-pends the entries it
 	// had applied, and the truncation must see the restored log.
 	var childLazy []lazyAttach
 	if len(tx.lazy) > sp.lazyLogs {
@@ -131,9 +133,6 @@ func (tx *Tx) rollbackTo(sp savepoint) {
 	}
 	tx.stateUnlock()
 
-	for i := len(childUndo) - 1; i >= 0; i-- {
-		childUndo[i]()
-	}
 	// Truncate the parent's surviving lazy logs back to their child-entry
 	// lengths. Nested children never run concurrently with Parallel
 	// branches (see Nested), so touching the logs outside the state lock

@@ -132,7 +132,7 @@ const lockSpill = 16
 // txPool recycles transaction descriptors — and, transitively, the undo,
 // lock, and handler slices they carry — across retry attempts and Atomic
 // calls. Descriptors are returned to the pool with every reference cleared,
-// so the pool never pins user closures or locks.
+// so the pool never pins user closures, keys, values or locks.
 var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
 // Tx is a transaction descriptor, created by Atomic and valid for one
@@ -172,7 +172,10 @@ type Tx struct {
 	parallel atomic.Bool
 
 	mu         sync.Mutex            // guards the state below only after escalation
-	undo       []func()              // inverse operations, applied in reverse on abort
+	undo       []uint32              // one entry per logged inverse: the slot of the stack holding its record (undo.go)
+	undoLogs   []undoAttach          // the typed undo stacks attached this attempt, by owner; slot i+1
+	undoFns    []func()              // slot 0, the descriptor's own stack: closures logged through Log
+	undoSlot   uint32                // the slot the open UndoBegin…UndoEnd bracket appends under
 	redo       []RedoOp              // forward ops for the durability sink (committed txs only)
 	redoBuf    []byte                // arena the redo ops' Data views point into (see RedoBegin)
 	lazy       []lazyAttach          // pending op logs of lazy boosted objects, drained at commit
@@ -414,30 +417,6 @@ func (tx *Tx) Cause() error {
 	return tx.abortCause
 }
 
-// Log appends an inverse operation to the transaction's undo log. If the
-// transaction aborts, logged operations run in reverse order of logging
-// (Rule 3: compensating actions). If it commits, the log is discarded.
-func (tx *Tx) Log(undo func()) {
-	if tx.readOnly {
-		panic("stm: mutation (undo log append) in read-only transaction")
-	}
-	if tx.parallel.Load() {
-		tx.mu.Lock()
-		tx.undo = append(tx.undo, undo)
-		tx.mu.Unlock()
-		return
-	}
-	tx.undo = append(tx.undo, undo)
-}
-
-// UndoDepth reports how many inverse operations are currently logged.
-// It exists chiefly for tests and introspection.
-func (tx *Tx) UndoDepth() int {
-	tx.stateLock()
-	defer tx.stateUnlock()
-	return len(tx.undo)
-}
-
 // AtCommit registers a handler to run at the transaction's commit point:
 // after validation succeeds and the transaction is irrevocably committed,
 // but before its two-phase locks are released. Handlers therefore run in
@@ -625,11 +604,8 @@ func clearTail(fns []func(), n int) []func() {
 func (tx *Tx) rollback() {
 	tx.status.Store(int32(Aborting))
 	faultpoint.Hit(faultpoint.StmMidRollback) // delay window before inverses
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		faultpoint.Hit(faultpoint.StmBetweenUndo) // delay window mid-inverse
-		tx.undo[i]()
-	}
-	tx.undo = clearFuncs(tx.undo)
+	tx.replayUndo(0)
+	tx.dropUndo()
 	tx.dropRedo()    // an aborted tx contributes nothing to the log
 	tx.clearLazy()   // pending lazy ops never ran; abort is truncation
 	tx.discardVers() // pending versions were never published
@@ -707,7 +683,7 @@ func (tx *Tx) commit() bool {
 		f()
 	}
 	tx.atCommit = clearFuncs(tx.atCommit)
-	tx.undo = clearFuncs(tx.undo)
+	tx.dropUndo()
 	// Durability: hand the redo stream to the sink while the abstract locks
 	// are still held, so conflicting transactions enter the log in
 	// serialization order. The sink encodes synchronously and returns a

@@ -133,7 +133,7 @@ func (p *PreparedTx) Commit() error {
 		f()
 	}
 	tx.atCommit = clearFuncs(tx.atCommit)
-	tx.undo = clearFuncs(tx.undo)
+	tx.dropUndo()
 	tx.dropRedo()
 	tx.clearLazy()
 	tx.releaseLocks()
