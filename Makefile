@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-short test-cpu test-benchmark vet check fuzz-lockmgr fuzz-contention fuzz-contention-race fuzz-codec fuzz-lazy fuzz-snapshot fuzz-snapshot-race fuzz-adaptive fuzz-adaptive-race fuzz-2pc fuzz-2pc-race chaos chaos-race chaos-crash chaos-2pc bench bench-micro bench-e2e bench-json bench-readmix bench-adaptive bench-twopc
+.PHONY: build test test-race test-short test-cpu test-benchmark vet check fuzz-lockmgr fuzz-contention fuzz-contention-race fuzz-codec fuzz-lazy fuzz-snapshot fuzz-snapshot-race fuzz-adaptive fuzz-adaptive-race fuzz-2pc fuzz-2pc-race chaos chaos-race chaos-crash chaos-2pc bench bench-micro bench-e2e bench-pair bench-json bench-readmix bench-adaptive bench-twopc
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,12 @@ bench:
 # workload through the tboost facade: make bench-e2e ARGS="--workload bank_wal --trace 0"
 bench-e2e:
 	bash benchmark/run.sh $(ARGS)
+
+# The same benchmark on a git ref and on the working tree, ten alternating
+# pairs, medians, quartiles and wins per metric:
+# make bench-pair REF=HEAD~1 ARGS="--workload bank_mem --trace 0"
+bench-pair:
+	bash scripts/benchpair.sh $(REF) $(ARGS)
 
 # Hot-path microbenchmarks only (Tx lifecycle, lock acquire, boosted set ops)
 # with allocation counts.

@@ -22,7 +22,10 @@ func TestBoostedHeapStrictlySerializable(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			h := core.NewHeap[struct{}](mode.m)
 			rec := NewRecorder()
-			sys := stm.NewSystem(stm.Config{LockTimeout: 300 * time.Millisecond})
+			// Default 10 ms lock budget: in rwlocked mode two adders that
+			// both go on to RemoveMin deadlock on the shared-to-exclusive
+			// upgrade, and sleeping out the timeout is what resolves it.
+			sys := stm.NewSystem(stm.Config{})
 			giveUp := errors.New("deliberate abort")
 			var wg sync.WaitGroup
 			for g := 0; g < 6; g++ {

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
-	"time"
 
 	"tboost/internal/core"
 	"tboost/internal/stm"
@@ -21,7 +20,10 @@ func TestMultiObjectStrictSerializability(t *testing.T) {
 	pq := core.NewHeap[struct{}](core.RWLocked)
 	ids := core.NewUniqueID()
 	rec := NewRecorder()
-	sys := stm.NewSystem(stm.Config{LockTimeout: 300 * time.Millisecond})
+	// Default 10 ms lock budget: Add then RemoveMin on the RWLocked heap is
+	// a shared-to-exclusive upgrade, two of them deadlock, and the timeout
+	// resolves it — at 300 ms an interleaved run slept for 17 s.
+	sys := stm.NewSystem(stm.Config{})
 	giveUp := errors.New("deliberate abort")
 
 	var wg sync.WaitGroup

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
-	"time"
 
 	"tboost/internal/core"
 	"tboost/internal/stm"
@@ -29,7 +28,10 @@ func TestSnapshotReadsMatchSequentialSpec(t *testing.T) {
 			s := f.make()
 			rec := NewRecorder()
 			rs := recordingSet{set: s, rec: rec}
-			sys := stm.NewSystem(stm.Config{LockTimeout: 500 * time.Millisecond})
+			// Default 10 ms lock budget: the writers take three keys in
+			// random order, so the keyed flavours deadlock (ABBA) and the
+			// timeout is what resolves it.
+			sys := stm.NewSystem(stm.Config{})
 			// Activate versioning before any writer commits, so every
 			// effective writer carries a commit sequence number the
 			// snapshot checker can place (see CheckSnapshotReads).

@@ -29,10 +29,10 @@ func SetLegacyMapReads(on bool) { legacyMapReads.Store(on) }
 // ConcurrentHashMap).
 //
 // The steady state of a boosted workload is Get on keys whose locks are
-// already installed, so that path is lock-free: each stripe publishes an
-// immutable map through an atomic pointer, and readers only dereference it.
-// Installing a missing lock copies the stripe's map and swaps the pointer
-// under the stripe mutex — linear per install, but each key pays it once.
+// already installed, so that path is lock-free: one hash of the key picks
+// the stripe (high bits) and the slot in the stripe's insert-only keyTable
+// (low bits), and the probe only loads pointers. Installing a missing lock
+// takes the stripe mutex and is amortised constant time, one allocation.
 //
 // Key-based locking may serialize some commuting calls (two add(x) calls
 // when x is present), but as the paper notes it provides enough concurrency
@@ -45,9 +45,9 @@ type LockMap[K comparable] struct {
 }
 
 type lockStripe[K comparable] struct {
-	cur atomic.Pointer[map[K]*OwnerLock] // immutable snapshot; swapped on install
-	mu  sync.Mutex                       // serializes installs
-	_   [48]byte                         // pad to reduce false sharing between stripes
+	tab keyTable[K]
+	mu  sync.Mutex // serializes installs
+	_   [40]byte   // pad to reduce false sharing between stripes
 }
 
 // NewLockMap returns a LockMap with DefaultStripes stripes.
@@ -70,16 +70,11 @@ func NewLockMapPolicy[K comparable](n int, p ContentionPolicy) *LockMap[K] {
 	if n < 1 {
 		n = 1
 	}
-	m := &LockMap[K]{
+	return &LockMap[K]{
 		seed:    maphash.MakeSeed(),
 		stripes: make([]lockStripe[K], n),
 		policy:  p,
 	}
-	empty := make(map[K]*OwnerLock)
-	for i := range m.stripes {
-		m.stripes[i].cur.Store(&empty) // shared: snapshots are never mutated
-	}
-	return m
 }
 
 // SetMeter attaches a contention meter to the table: every lock already
@@ -93,55 +88,35 @@ func (m *LockMap[K]) SetMeter(cm *ContentionMeter) {
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.Lock()
-		for _, l := range *s.cur.Load() {
-			l.SetMeter(cm)
-		}
+		s.tab.each(func(l *OwnerLock) { l.SetMeter(cm) })
 		s.mu.Unlock()
 	}
-}
-
-func (m *LockMap[K]) stripe(key K) *lockStripe[K] {
-	h := maphash.Comparable(m.seed, key)
-	return &m.stripes[h%uint64(len(m.stripes))]
 }
 
 // Get returns the abstract lock for key, creating it if absent. The hit
 // path — every access after a key's first — takes no locks.
 func (m *LockMap[K]) Get(key K) *OwnerLock {
-	s := m.stripe(key)
-	if legacyMapReads.Load() {
+	h := maphash.Comparable(m.seed, key)
+	// Stripe from the high half of the hash (multiply-shift, any stripe
+	// count), slot from the low bits: keys of one stripe spread over its
+	// table.
+	s := &m.stripes[(h>>32)*uint64(len(m.stripes))>>32]
+	legacy := legacyMapReads.Load()
+	if legacy {
 		s.mu.Lock()
-		l, ok := (*s.cur.Load())[key]
+	}
+	e := s.tab.find(h, key)
+	if legacy {
 		s.mu.Unlock()
-		if ok {
-			return l
-		}
-	} else if l, ok := (*s.cur.Load())[key]; ok {
-		return l
 	}
-	return s.install(key, m.policy, m.meter)
-}
-
-// install publishes a lock for a key not present in the stripe's snapshot:
-// copy-on-write under the stripe mutex, rechecking after locking because a
-// racing installer may have won.
-func (s *lockStripe[K]) install(key K, p Policy, cm *ContentionMeter) *OwnerLock {
+	if e != nil {
+		return &e.lock
+	}
+	// A miss may have probed an array a grow has since replaced; install
+	// probes the current one under the mutex before it inserts.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.cur.Load()
-	if l, ok := old[key]; ok {
-		return l
-	}
-	next := make(map[K]*OwnerLock, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	l := NewOwnerLockPolicy(p)
-	if cm != nil {
-		l.SetMeter(cm)
-	}
-	next[key] = l
-	s.cur.Store(&next)
+	l, _ := s.tab.install(h, key, m.policy, m.meter)
+	s.mu.Unlock()
 	return l
 }
 
@@ -157,7 +132,10 @@ func (m *LockMap[K]) Lock(tx *stm.Tx, key K) {
 func (m *LockMap[K]) Len() int {
 	n := 0
 	for i := range m.stripes {
-		n += len(*m.stripes[i].cur.Load())
+		s := &m.stripes[i]
+		s.mu.Lock()
+		n += s.tab.n
+		s.mu.Unlock()
 	}
 	return n
 }

@@ -224,14 +224,33 @@ func TestOwnerLockString(t *testing.T) {
 	})
 }
 
-func TestUninitializedLockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-value OwnerLock did not panic")
-		}
-	}()
+// The zero value is an unlocked lock: it grants, excludes, and releases at
+// commit like a constructed one.
+func TestZeroValueOwnerLockUsable(t *testing.T) {
+	sys := newSys()
 	var l OwnerLock
-	l.Unlock(nil) // Locked/HeldBy are lock-free reads now; Unlock still guards
+	l.Unlock(nil) // releasing a lock nobody holds is a no-op
+	run(t, sys, func(tx *stm.Tx) {
+		l.Acquire(tx)
+		if !l.HeldBy(tx) || !l.Locked() {
+			t.Error("zero-value lock not held after Acquire")
+		}
+		done := make(chan bool)
+		go func() {
+			ok := true
+			_ = sys.Atomic(func(other *stm.Tx) error {
+				ok = l.TryAcquire(other, time.Millisecond)
+				return nil
+			})
+			done <- ok
+		}()
+		if <-done {
+			t.Error("zero-value lock granted to a second transaction")
+		}
+	})
+	if l.Locked() {
+		t.Fatal("zero-value lock still held after commit")
+	}
 }
 
 // --- RWOwnerLock ---

@@ -10,7 +10,7 @@ package lockmgr
 // a whole lock table) carries at most one meter, and the slow path feeds it
 // at the two sites that already exist for the contention policies:
 //
-//   - observeConflict fires once per blocking round: each time acquireSlow
+//   - observeConflict fires once per blocking round: each time acquireBlocked
 //     finds a foreign owner and is about to (re)block — the same instant
 //     ContentionPolicy.OnConflict sees. Counting rounds rather than
 //     acquisitions matters under barging: a starved waiter wakes and loses
@@ -20,7 +20,7 @@ package lockmgr
 //     the adaptive-timeout estimator is fed (stm.System.ObserveWait).
 //
 // The meter is deliberately invisible to uncontended acquisitions: the grant
-// path of acquireSlow never touches it, so a lock with a meter attached costs
+// path of acquire never touches it, so a lock with a meter attached costs
 // its steady-state users nothing — no atomic operations, no allocations —
 // until they actually block. That is the "dormant signal path" contract the
 // adaptive engine's alloc pin test holds the kernel to.
@@ -66,7 +66,7 @@ func (m *ContentionMeter) WaitEWMA() time.Duration {
 	return time.Duration(m.waitEWMA.Load())
 }
 
-// observeConflict records one about-to-block conflict. Called by acquireSlow
+// observeConflict records one about-to-block conflict. Called by acquireBlocked
 // with the lock's mutex held, so it must stay tiny.
 func (m *ContentionMeter) observeConflict() { m.conflicts.Add(1) }
 

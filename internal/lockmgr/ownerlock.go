@@ -18,6 +18,7 @@ package lockmgr
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"tboost/internal/faultpoint"
@@ -56,33 +57,19 @@ func abortAcquireFailure(tx *stm.Tx) {
 }
 
 // OwnerLock is an exclusive two-phase lock owned by a transaction. The zero
-// value is an unlocked lock ready for use. Acquisition is reentrant per
-// transaction; release happens automatically when the owning transaction
-// commits or aborts (the runtime calls Unlock via stm.Unlocker).
+// value is an unlocked lock ready for use that consults the waiter's System
+// for its contention policy; it must not be copied after first use (the lock
+// tables embed it in their entries and hand out its address). Acquisition is
+// reentrant per transaction; release happens automatically when the owning
+// transaction commits or aborts (the runtime calls Unlock via stm.Unlocker).
 type OwnerLock struct {
-	mu     chanMutex
+	mu     sync.Mutex // guards owner, gen and ownGen; never held across a wait
 	owner  *stm.Tx
 	gen    chan struct{}    // closed on each release to wake all waiters
 	ownGen chan struct{}    // closed on each ownership/registration change (waitOwnedBy)
 	policy ContentionPolicy // nil: consult the waiter's System (see effectivePolicy)
 	meter  *ContentionMeter // nil: no contention accounting (see meter.go)
 }
-
-// chanMutex is a tiny non-blocking-friendly mutex built on a 1-buffered
-// channel. Using a channel (rather than sync.Mutex) keeps the critical
-// sections explicit and lets the wait loop release/reacquire around selects.
-type chanMutex struct{ ch chan struct{} }
-
-func (m *chanMutex) lock() {
-	if m.ch == nil {
-		// Lazily initialized via sync-free fast path is racy; callers
-		// must Init first. Locks created by constructors are initialized.
-		panic("lockmgr: lock used before initialization; use NewOwnerLock or LockMap")
-	}
-	m.ch <- struct{}{}
-}
-
-func (m *chanMutex) unlock() { <-m.ch }
 
 // NewOwnerLock returns a fresh exclusive abstract lock. Blocked acquisitions
 // consult the contention policy of the waiting transaction's System
@@ -95,7 +82,7 @@ func NewOwnerLock() *OwnerLock {
 // contention policy that overrides the system-wide choice (pass Timeout,
 // WoundWait, or a NewDetect instance). A nil policy is NewOwnerLock.
 func NewOwnerLockPolicy(p ContentionPolicy) *OwnerLock {
-	return &OwnerLock{mu: chanMutex{ch: make(chan struct{}, 1)}, policy: p}
+	return &OwnerLock{policy: p}
 }
 
 // SetMeter attaches a contention meter to the lock. Configuration-time only
@@ -131,7 +118,7 @@ func (l *OwnerLock) TryAcquire(tx *stm.Tx, timeout time.Duration) bool {
 	case faultpoint.Doom:
 		tx.Doom()
 	}
-	if l.acquireSlow(tx, timeout) {
+	if l.acquire(tx, timeout) {
 		return true
 	}
 	tx.UnregisterLock(l)
@@ -145,9 +132,9 @@ func (l *OwnerLock) TryAcquire(tx *stm.Tx, timeout time.Duration) bool {
 // wakeOwnershipWaiters wakes goroutines blocked in waitOwnedBy. Called after
 // ownership or registration changes made outside l.mu's critical section.
 func (l *OwnerLock) wakeOwnershipWaiters() {
-	l.mu.lock()
+	l.mu.Lock()
 	l.notifyOwnershipLocked()
-	l.mu.unlock()
+	l.mu.Unlock()
 }
 
 // notifyOwnershipLocked closes the current ownership-generation channel (if
@@ -166,20 +153,20 @@ func (l *OwnerLock) notifyOwnershipLocked() {
 // every ownership or registration change closes the channel, so waiters wake
 // exactly when there is something new to observe.
 func (l *OwnerLock) waitOwnedBy(tx *stm.Tx, timeout time.Duration) bool {
-	timer := time.NewTimer(timeout)
+	timer := tx.WaitTimer(timeout)
 	defer timer.Stop()
 	doomed := tx.DoomChan()
 	for {
-		l.mu.lock()
+		l.mu.Lock()
 		if l.owner == tx {
-			l.mu.unlock()
+			l.mu.Unlock()
 			return true
 		}
 		if l.ownGen == nil {
 			l.ownGen = make(chan struct{})
 		}
 		wait := l.ownGen
-		l.mu.unlock()
+		l.mu.Unlock()
 		// Check the registration only after capturing the wait channel:
 		// a sibling that unregisters after this check closes the channel
 		// we already hold, so the wakeup cannot be missed.
@@ -199,11 +186,31 @@ func (l *OwnerLock) waitOwnedBy(tx *stm.Tx, timeout time.Duration) bool {
 	}
 }
 
-func (l *OwnerLock) acquireSlow(tx *stm.Tx, timeout time.Duration) bool {
+// acquire takes the lock for tx, which has registered it, waiting up to
+// timeout. The uncontended case — the lock is free when asked, which is
+// nearly every acquisition of a boosted workload — is decided here, before
+// acquireBlocked sets up its timer bookkeeping and resolves the policy.
+func (l *OwnerLock) acquire(tx *stm.Tx, timeout time.Duration) bool {
+	if tx.Doomed() {
+		return false // wounded: give way to our elder
+	}
+	l.mu.Lock()
+	if l.owner == nil {
+		l.owner = tx
+		l.notifyOwnershipLocked()
+		l.mu.Unlock()
+		return true
+	}
+	l.mu.Unlock()
+	return l.acquireBlocked(tx, timeout)
+}
+
+// acquireBlocked is acquire's wait loop, entered once the lock has been seen
+// owned: report the conflict, sleep until the next release, recontend.
+func (l *OwnerLock) acquireBlocked(tx *stm.Tx, timeout time.Duration) bool {
 	// The timer, its channel, and the doom channel are armed once for the
 	// whole wait (the budget spans all recontention rounds) and the timer
-	// is stopped on every exit path, so a doomed or wounded wait no longer
-	// leaks a live timer.
+	// is stopped on every exit path.
 	var timer *time.Timer
 	var expired <-chan time.Time
 	var doomed <-chan struct{}
@@ -222,11 +229,11 @@ func (l *OwnerLock) acquireSlow(tx *stm.Tx, timeout time.Duration) bool {
 		if tx.Doomed() {
 			return false // wounded while waiting: give way to our elder
 		}
-		l.mu.lock()
+		l.mu.Lock()
 		if l.owner == nil {
 			l.owner = tx
 			l.notifyOwnershipLocked()
-			l.mu.unlock()
+			l.mu.Unlock()
 			if timer != nil {
 				// Granted after blocking: feed the adaptive-timeout
 				// estimator with how long the wait actually took, and the
@@ -258,10 +265,10 @@ func (l *OwnerLock) acquireSlow(tx *stm.Tx, timeout time.Duration) bool {
 			l.gen = make(chan struct{})
 		}
 		wait := l.gen
-		l.mu.unlock()
+		l.mu.Unlock()
 
 		if timer == nil {
-			timer = time.NewTimer(timeout)
+			timer = tx.WaitTimer(timeout)
 			expired = timer.C
 			doomed = tx.DoomChan()
 			waitStart = time.Now()
@@ -302,7 +309,7 @@ func (l *OwnerLock) Acquire(tx *stm.Tx) {
 // during commit/abort; user code should not call it directly (two-phase
 // locking forbids early release).
 func (l *OwnerLock) Unlock(tx *stm.Tx) {
-	l.mu.lock()
+	l.mu.Lock()
 	if l.owner == tx {
 		l.owner = nil
 		if l.gen != nil {
@@ -311,15 +318,15 @@ func (l *OwnerLock) Unlock(tx *stm.Tx) {
 		}
 		l.notifyOwnershipLocked()
 	}
-	l.mu.unlock()
+	l.mu.Unlock()
 }
 
 // HeldBy reports whether tx currently owns the lock. For tests and
 // introspection.
 func (l *OwnerLock) HeldBy(tx *stm.Tx) bool {
-	l.mu.lock()
+	l.mu.Lock()
 	held := l.owner == tx
-	l.mu.unlock()
+	l.mu.Unlock()
 	return held
 }
 
@@ -332,27 +339,27 @@ func (l *OwnerLock) HeldBy(tx *stm.Tx) bool {
 // makes the striped point fast path sound (see confirmKey) without the point
 // path ever paying an atomic owner store.
 func (l *OwnerLock) otherOwnerConflict(tx *stm.Tx, cp ContentionPolicy) bool {
-	l.mu.lock()
+	l.mu.Lock()
 	o := l.owner
 	if o != nil && o != tx && cp != nil {
 		cp.OnConflict(tx, o)
 	}
-	l.mu.unlock()
+	l.mu.Unlock()
 	return o != nil && o != tx
 }
 
 // Locked reports whether any transaction owns the lock.
 func (l *OwnerLock) Locked() bool {
-	l.mu.lock()
+	l.mu.Lock()
 	locked := l.owner != nil
-	l.mu.unlock()
+	l.mu.Unlock()
 	return locked
 }
 
 // String describes the lock state for debugging.
 func (l *OwnerLock) String() string {
-	l.mu.lock()
-	defer l.mu.unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.owner == nil {
 		return "OwnerLock(free)"
 	}

@@ -53,7 +53,7 @@ func (r *RangeLock[K]) TryLockRange(tx *stm.Tx, lo, hi K, timeout time.Duration)
 		lo, hi = hi, lo
 	}
 	// One timer for the whole wait, armed on first block and stopped on
-	// every exit path — the one-shot discipline of OwnerLock.acquireSlow
+	// every exit path — the one-shot discipline of OwnerLock.acquireBlocked
 	// (the timeout return used to leak a live timer).
 	var timer *time.Timer
 	var expired <-chan time.Time
@@ -99,7 +99,7 @@ func (r *RangeLock[K]) TryLockRange(tx *stm.Tx, lo, hi K, timeout time.Duration)
 			r.spurious.Add(1)
 		}
 		if timer == nil {
-			timer = time.NewTimer(timeout)
+			timer = tx.WaitTimer(timeout)
 			expired = timer.C
 			rangeTimerArms.Add(1)
 		}

@@ -1,6 +1,7 @@
 package lockmgr
 
 import (
+	"sync"
 	"time"
 
 	"tboost/internal/faultpoint"
@@ -18,7 +19,7 @@ import (
 // contention policy, reporting every conflicting grant holder (the writer
 // for a read demand; the writer and each other reader for a write demand).
 type RWOwnerLock struct {
-	mu      chanMutex
+	mu      sync.Mutex
 	writer  *stm.Tx
 	readers map[*stm.Tx]struct{}
 	gen     chan struct{}
@@ -26,10 +27,7 @@ type RWOwnerLock struct {
 
 // NewRWOwnerLock returns a fresh readers/writer abstract lock.
 func NewRWOwnerLock() *RWOwnerLock {
-	return &RWOwnerLock{
-		mu:      chanMutex{ch: make(chan struct{}, 1)},
-		readers: make(map[*stm.Tx]struct{}),
-	}
+	return &RWOwnerLock{readers: make(map[*stm.Tx]struct{})}
 }
 
 // TryRLock attempts to acquire the lock in shared mode for tx, waiting up to
@@ -43,7 +41,7 @@ func (l *RWOwnerLock) TryRLock(tx *stm.Tx, timeout time.Duration) bool {
 		tx.Doom()
 	}
 	// Timer and doom channel are armed once for the whole wait and the
-	// timer stopped on every exit path (see acquireSlow for the rationale).
+	// timer stopped on every exit path (see acquireBlocked for the rationale).
 	var timer *time.Timer
 	var expired <-chan time.Time
 	var doomed <-chan struct{}
@@ -59,18 +57,18 @@ func (l *RWOwnerLock) TryRLock(tx *stm.Tx, timeout time.Duration) bool {
 		}
 	}()
 	for {
-		l.mu.lock()
+		l.mu.Lock()
 		if l.writer == tx {
-			l.mu.unlock()
+			l.mu.Unlock()
 			return true // write mode subsumes read mode
 		}
 		if _, ok := l.readers[tx]; ok {
-			l.mu.unlock()
+			l.mu.Unlock()
 			return true
 		}
 		if l.writer == nil {
 			l.readers[tx] = struct{}{}
-			l.mu.unlock()
+			l.mu.Unlock()
 			tx.RegisterLock(l)
 			if timer != nil {
 				tx.System().ObserveWait(time.Since(waitStart))
@@ -82,10 +80,10 @@ func (l *RWOwnerLock) TryRLock(tx *stm.Tx, timeout time.Duration) bool {
 			cp.OnConflict(tx, l.writer)
 		}
 		wait := l.waitGen()
-		l.mu.unlock()
+		l.mu.Unlock()
 
 		if timer == nil {
-			timer = time.NewTimer(timeout)
+			timer = tx.WaitTimer(timeout)
 			expired = timer.C
 			doomed = tx.DoomChan()
 			waitStart = time.Now()
@@ -120,9 +118,9 @@ func (l *RWOwnerLock) TryWLock(tx *stm.Tx, timeout time.Duration) bool {
 		}
 	}()
 	for {
-		l.mu.lock()
+		l.mu.Lock()
 		if l.writer == tx {
-			l.mu.unlock()
+			l.mu.Unlock()
 			return true
 		}
 		_, isReader := l.readers[tx]
@@ -135,7 +133,7 @@ func (l *RWOwnerLock) TryWLock(tx *stm.Tx, timeout time.Duration) bool {
 			if isReader {
 				delete(l.readers, tx) // upgrade
 			}
-			l.mu.unlock()
+			l.mu.Unlock()
 			tx.RegisterLock(l)
 			if timer != nil {
 				tx.System().ObserveWait(time.Since(waitStart))
@@ -154,10 +152,10 @@ func (l *RWOwnerLock) TryWLock(tx *stm.Tx, timeout time.Duration) bool {
 			}
 		}
 		wait := l.waitGen()
-		l.mu.unlock()
+		l.mu.Unlock()
 
 		if timer == nil {
-			timer = time.NewTimer(timeout)
+			timer = tx.WaitTimer(timeout)
 			expired = timer.C
 			doomed = tx.DoomChan()
 			waitStart = time.Now()
@@ -217,7 +215,7 @@ func (l *RWOwnerLock) WLock(tx *stm.Tx) {
 // Unlock releases whatever mode tx holds. Called by the stm runtime at
 // commit/abort.
 func (l *RWOwnerLock) Unlock(tx *stm.Tx) {
-	l.mu.lock()
+	l.mu.Lock()
 	if l.writer == tx {
 		l.writer = nil
 	} else {
@@ -227,30 +225,30 @@ func (l *RWOwnerLock) Unlock(tx *stm.Tx) {
 		close(l.gen)
 		l.gen = nil
 	}
-	l.mu.unlock()
+	l.mu.Unlock()
 }
 
 // Readers reports the number of transactions holding shared mode.
 func (l *RWOwnerLock) Readers() int {
-	l.mu.lock()
+	l.mu.Lock()
 	n := len(l.readers)
-	l.mu.unlock()
+	l.mu.Unlock()
 	return n
 }
 
 // WriteHeldBy reports whether tx holds exclusive mode.
 func (l *RWOwnerLock) WriteHeldBy(tx *stm.Tx) bool {
-	l.mu.lock()
+	l.mu.Lock()
 	held := l.writer == tx
-	l.mu.unlock()
+	l.mu.Unlock()
 	return held
 }
 
 // ReadHeldBy reports whether tx holds shared mode.
 func (l *RWOwnerLock) ReadHeldBy(tx *stm.Tx) bool {
-	l.mu.lock()
+	l.mu.Lock()
 	_, held := l.readers[tx]
-	l.mu.unlock()
+	l.mu.Unlock()
 	return held
 }
 

@@ -2,8 +2,11 @@ package lockmgr
 
 import (
 	"cmp"
+	"hash/maphash"
 	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,8 +41,8 @@ var rangeTimerArms atomic.Uint64
 // StripedRangeLock is the stripe-partitioned interval lock manager: the
 // ordered key space is cut into blocks by a Partition and blocks are dealt
 // cyclically across S power-of-two stripes. A point demand [k, k] touches
-// exactly one stripe — a lock-free snapshot read of the stripe's key→lock
-// map (copy-on-write install on first touch, mirroring LockMap) followed by
+// exactly one stripe — a lock-free probe of the stripe's keyTable (the
+// insert-only table LockMap uses, installing on first touch) followed by
 // an OwnerLock acquisition — while a range demand locks its covering
 // stripes' mutexes in canonical ascending index order, decides the grant
 // atomically against granted intervals and point owners, and registers the
@@ -58,6 +61,7 @@ var rangeTimerArms atomic.Uint64
 // acquisition.
 type StripedRangeLock[K cmp.Ordered] struct {
 	rank       func(K) uint64
+	seed       maphash.Seed // hashes keys into their stripe's keyTable
 	shift      uint
 	mask       uint64
 	escalateAt uint64 // escalate when a range covers more than this many blocks
@@ -72,9 +76,9 @@ type StripedRangeLock[K cmp.Ordered] struct {
 
 // rangeStripe holds one segment of the partitioned key space.
 type rangeStripe[K cmp.Ordered] struct {
-	// keys is the stripe's immutable key→lock snapshot, read lock-free on
-	// the point fast path and swapped copy-on-write under mu on install.
-	keys atomic.Pointer[map[K]*OwnerLock]
+	// keys holds the stripe's point locks: probed lock-free on the point
+	// fast path, inserted into under mu on first touch.
+	keys keyTable[K]
 	// rmark counts granted intervals registered in this stripe plus range
 	// grants currently being decided here. A point acquisition that reads
 	// rmark == 0 after taking its key lock is granted without touching mu:
@@ -86,7 +90,7 @@ type rangeStripe[K cmp.Ordered] struct {
 	ivals   []stripedInterval[K] // granted intervals registered in this stripe
 	entries []keyEntry[K]        // installed keys sorted ascending, for range owner scans
 	gen     chan struct{}        // closed on each release affecting this stripe
-	_       [24]byte             // pad to reduce false sharing between stripes
+	_       [40]byte             // pad the stripe to two cache lines
 }
 
 type stripedInterval[K cmp.Ordered] struct {
@@ -202,6 +206,7 @@ func NewStripedRangeLockConfig[K cmp.Ordered](stripes int, p Partition[K]) *Stri
 	}
 	t := &StripedRangeLock[K]{
 		rank:       p.Rank,
+		seed:       maphash.MakeSeed(),
 		shift:      p.BlockShift,
 		mask:       uint64(n - 1),
 		escalateAt: uint64(n / 2),
@@ -209,10 +214,6 @@ func NewStripedRangeLockConfig[K cmp.Ordered](stripes int, p Partition[K]) *Stri
 	}
 	if n == 1 {
 		t.escalateAt = math.MaxUint64
-	}
-	empty := make(map[K]*OwnerLock)
-	for i := range t.stripes {
-		t.stripes[i].keys.Store(&empty) // shared: snapshots are never mutated
 	}
 	t.hpool.New = func() any { return &rangeHoldings[K]{} }
 	t.spool.New = func() any { b := make([]int32, 0, n); return &b }
@@ -282,43 +283,22 @@ func (t *StripedRangeLock[K]) holdings(tx *stm.Tx) *rangeHoldings[K] {
 	}
 }
 
-// keyLock returns the OwnerLock for k in stripe s, installing it
-// copy-on-write on first touch (LockMap's putIfAbsent discipline). The hit
-// path takes no locks.
+// keyLock returns the OwnerLock for k in stripe s, installing it on first
+// touch (LockMap's putIfAbsent discipline) and entering it in the sorted
+// index range scans use. The hit path takes no locks.
 func (t *StripedRangeLock[K]) keyLock(s *rangeStripe[K], k K) *OwnerLock {
-	if l, ok := (*s.keys.Load())[k]; ok {
-		return l
+	h := maphash.Comparable(t.seed, k)
+	if e := s.keys.find(h, k); e != nil {
+		return &e.lock
 	}
-	return installStripeKey(s, k)
-}
-
-func installStripeKey[K cmp.Ordered](s *rangeStripe[K], k K) *OwnerLock {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := *s.keys.Load()
-	if l, ok := old[k]; ok {
-		return l
+	l, fresh := s.keys.install(h, k, nil, nil)
+	if !fresh {
+		return l // a racing installer won
 	}
-	next := make(map[K]*OwnerLock, len(old)+1)
-	for k2, v := range old {
-		next[k2] = v
-	}
-	l := NewOwnerLock()
-	next[k] = l
-	s.keys.Store(&next)
-	// Keep the sorted index range scans use in step with the snapshot.
-	lo, hi := 0, len(s.entries)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.entries[mid].k < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s.entries = append(s.entries, keyEntry[K]{})
-	copy(s.entries[lo+1:], s.entries[lo:])
-	s.entries[lo] = keyEntry[K]{k: k, l: l}
+	lo := sort.Search(len(s.entries), func(i int) bool { return !(s.entries[i].k < k) })
+	s.entries = slices.Insert(s.entries, lo, keyEntry[K]{k: k, l: l})
 	return l
 }
 
@@ -407,7 +387,7 @@ func (t *StripedRangeLock[K]) tryLockKey(tx *stm.Tx, h *rangeHoldings[K], k K, t
 	case faultpoint.Doom:
 		tx.Doom()
 	}
-	if !l.acquireSlow(tx, timeout) {
+	if !l.acquire(tx, timeout) {
 		tx.UnregisterLock(l)
 		l.wakeOwnershipWaiters()
 		return false
@@ -492,8 +472,8 @@ func (t *StripedRangeLock[K]) confirmKey(tx *stm.Tx, s *rangeStripe[K], l *Owner
 		}
 		if timer == nil {
 			// One timer for the whole wait, armed on first block — the
-			// same one-shot discipline as acquireSlow.
-			timer = time.NewTimer(timeout)
+			// same one-shot discipline as acquireBlocked.
+			timer = tx.WaitTimer(timeout)
 			expired = timer.C
 			doomed = tx.DoomChan()
 			waitStart = time.Now()
@@ -599,7 +579,7 @@ func (t *StripedRangeLock[K]) tryLockSpan(tx *stm.Tx, h *rangeHoldings[K], lo, h
 			t.spurious.Add(1)
 		}
 		if timer == nil {
-			timer = time.NewTimer(timeout)
+			timer = tx.WaitTimer(timeout)
 			expired = timer.C
 			doomed = tx.DoomChan()
 			waitStart = time.Now()
@@ -701,7 +681,10 @@ func (t *StripedRangeLock[K]) Stripes() int { return len(t.stripes) }
 func (t *StripedRangeLock[K]) KeyLocks() int {
 	n := 0
 	for i := range t.stripes {
-		n += len(*t.stripes[i].keys.Load())
+		s := &t.stripes[i]
+		s.mu.Lock()
+		n += s.keys.n
+		s.mu.Unlock()
 	}
 	return n
 }

@@ -158,6 +158,9 @@ func TestWoundWaitLockMap(t *testing.T) {
 					m.Lock(tx, k2)
 					counters[k1]++
 					counters[k2]++
+					// A wound can land after the increments and fail the
+					// commit; the retry must not count twice.
+					tx.Log(func() { counters[k1]--; counters[k2]-- })
 					return nil
 				})
 				if err != nil {

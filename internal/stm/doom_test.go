@@ -76,6 +76,63 @@ func TestDoomChanCreatedAfterDoomIsClosed(t *testing.T) {
 	})
 }
 
+// An open doom channel serves the descriptor's later attempts (blocked lock
+// waits ask for one each); only a Doom, which closes it, makes the next
+// attempt take a fresh one.
+func TestDoomChanKeptUntilClosed(t *testing.T) {
+	var chans []<-chan struct{}
+	_ = Atomic(func(tx *Tx) error {
+		chans = append(chans, tx.DoomChan())
+		switch tx.Attempt() {
+		case 0:
+			tx.Abort(nil) // retried with the channel still open
+		case 1:
+			tx.Doom() // closes it; the commit fails and retries
+		}
+		return nil
+	})
+	if len(chans) != 3 {
+		t.Fatalf("ran %d attempts, want 3", len(chans))
+	}
+	if chans[1] != chans[0] {
+		t.Error("an open doom channel was replaced at retry")
+	}
+	if chans[2] == chans[1] {
+		t.Fatal("a closed doom channel was kept for the next attempt")
+	}
+	select {
+	case <-chans[2]:
+		t.Error("fresh attempt's doom channel is closed")
+	default:
+	}
+}
+
+// A single-goroutine transaction rearms one timer per blocked wait; Parallel
+// branches, which can wait at the same time, each get their own.
+func TestWaitTimerReusedUnlessShared(t *testing.T) {
+	_ = Atomic(func(tx *Tx) error {
+		first := tx.WaitTimer(time.Hour)
+		first.Stop()
+		again := tx.WaitTimer(time.Millisecond)
+		if again != first {
+			t.Error("single-goroutine transaction got a second timer")
+		}
+		select {
+		case <-again.C:
+		case <-time.After(5 * time.Second):
+			t.Error("rearmed timer never fired")
+		}
+		return tx.Parallel(func(tx *Tx) error {
+			if branch := tx.WaitTimer(time.Hour); branch == first {
+				t.Error("Parallel branch was handed the shared descriptor's timer")
+			} else {
+				branch.Stop()
+			}
+			return nil
+		})
+	})
+}
+
 func TestCauseVisibleInOnAbort(t *testing.T) {
 	myErr := errors.New("specific cause")
 	attempts := 0

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"tboost/internal/faultpoint"
 )
@@ -227,9 +228,10 @@ type Tx struct {
 
 	doomed     atomic.Bool
 	asyncMu    sync.Mutex    // guards doomCh/doomClosed/abortCause (cross-goroutine)
-	doomCh     chan struct{} // lazily created; closed by Doom (see DoomChan)
+	doomCh     chan struct{} // lazily created, closed by Doom, kept until closed (see resetDoomState)
 	doomClosed bool
 	abortCause error
+	waitTimer  *time.Timer // reused by blocked lock waits (see WaitTimer)
 
 	// durErr records a failed durability barrier: the attempt committed in
 	// memory but was never acknowledged durable. Written and read only by
@@ -385,6 +387,24 @@ func (tx *Tx) DoomChan() <-chan struct{} {
 		}
 	}
 	return tx.doomCh
+}
+
+// WaitTimer returns a timer firing after d, to bound one blocked lock wait;
+// the caller Stops it when the wait ends. A single-goroutine transaction
+// blocks on one lock at a time, so it rearms one descriptor-resident timer
+// (no drain: go.mod's go 1.24 gives Stop/Reset the synchronous-channel
+// semantics); Parallel branches can block concurrently and each get a fresh
+// one.
+func (tx *Tx) WaitTimer(d time.Duration) *time.Timer {
+	if tx.Shared() {
+		return time.NewTimer(d)
+	}
+	if tx.waitTimer == nil {
+		tx.waitTimer = time.NewTimer(d)
+	} else {
+		tx.waitTimer.Reset(d)
+	}
+	return tx.waitTimer
 }
 
 // Abort aborts the transaction with the given cause and unwinds the calling
@@ -738,9 +758,18 @@ func (tx *Tx) resetAttempt(sys *System, ctx context.Context, id uint64, birth ui
 		clear(tx.ext)
 	}
 	tx.doomed.Store(false)
+	tx.resetDoomState()
+}
+
+// resetDoomState clears the abort cause and renews the doom channel only if a
+// Doom closed it: an open channel serves the descriptor's next attempt or
+// next life, so a blocked wait allocates one at most once per doom.
+func (tx *Tx) resetDoomState() {
 	tx.asyncMu.Lock()
-	tx.doomCh = nil
-	tx.doomClosed = false
+	if tx.doomClosed {
+		tx.doomCh = nil
+		tx.doomClosed = false
+	}
 	tx.abortCause = nil
 	tx.asyncMu.Unlock()
 }
@@ -755,10 +784,6 @@ func (tx *Tx) recycle() {
 	if tx.ext != nil {
 		clear(tx.ext)
 	}
-	tx.asyncMu.Lock()
-	tx.doomCh = nil
-	tx.doomClosed = false
-	tx.abortCause = nil
-	tx.asyncMu.Unlock()
+	tx.resetDoomState()
 	txPool.Put(tx)
 }
