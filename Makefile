@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-short test-cpu test-benchmark vet check fuzz-lockmgr fuzz-contention fuzz-contention-race fuzz-codec fuzz-lazy fuzz-snapshot fuzz-snapshot-race fuzz-adaptive fuzz-adaptive-race fuzz-2pc fuzz-2pc-race chaos chaos-race chaos-crash chaos-2pc bench bench-micro bench-e2e bench-pair bench-json bench-readmix bench-adaptive bench-twopc
+.PHONY: build test test-race test-short test-cpu test-benchmark vet loc check fuzz-lockmgr fuzz-contention fuzz-contention-race fuzz-codec fuzz-lazy fuzz-snapshot fuzz-snapshot-race fuzz-adaptive fuzz-adaptive-race fuzz-2pc fuzz-2pc-race chaos chaos-race chaos-crash chaos-2pc bench bench-micro bench-e2e bench-pair bench-json bench-readmix bench-adaptive bench-twopc
 
 build:
 	$(GO) build ./...
@@ -14,15 +14,22 @@ test-race:
 test-short:
 	$(GO) test -short ./...
 
-# The base objects and the kernel at one, two and four scheduler threads: a
-# linearizable base is the boosting theorem's premise, and one that is only
-# correct on one core (internal/cheap lost and duplicated items until PR 14)
-# must not go green. -count=1 defeats the test cache.
+# The base objects and the kernel (mvcc and the log included: their alloc
+# pins and wait protocols are scheduler-sensitive too) at one, two and four
+# scheduler threads: a linearizable base is the boosting theorem's premise,
+# and one that is only correct on one core (internal/cheap lost and
+# duplicated items until PR 14) must not go green. -count=1 defeats the test
+# cache.
 test-cpu:
-	$(GO) test -count=1 -cpu 1,2,4 ./internal/cheap/ ./internal/skiplist/ ./internal/deque/ ./internal/hashset/ ./internal/lockmgr/ ./internal/stm/ ./internal/boost/ ./internal/core/
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/cheap/ ./internal/skiplist/ ./internal/deque/ ./internal/hashset/ ./internal/lockmgr/ ./internal/stm/ ./internal/mvcc/ ./internal/wal/ ./internal/boost/ ./internal/core/
 
 vet:
 	$(GO) vet ./...
+
+# The size ROADMAP aim 2 tracks: lines of non-test Go outside benchmark/
+# (and outside the benchmark's build directory).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # benchmark/ is a module of its own, so ./... above never reaches it.
 test-benchmark:

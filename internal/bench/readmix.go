@@ -79,8 +79,8 @@ type ReadmixReport struct {
 	WriterOnlyNsPerTx map[string]float64 `json:"writer_only_ns_per_tx"`
 	// WriterOnlyDormantOverhead is dormant/disabled — the acceptance metric,
 	// budget 1.05x. WriterOnlyActiveOverhead is active/disabled, reported.
-	WriterOnlyDormantOverhead float64        `json:"writer_only_dormant_overhead"`
-	WriterOnlyActiveOverhead  float64        `json:"writer_only_active_overhead"`
+	WriterOnlyDormantOverhead float64         `json:"writer_only_dormant_overhead"`
+	WriterOnlyActiveOverhead  float64         `json:"writer_only_active_overhead"`
 	Results                   []ReadmixResult `json:"results"`
 }
 
@@ -181,7 +181,7 @@ func runWriterOnlyCell(variant string, txCount int) ReadmixResult {
 	s := core.NewSkipListSet()
 	switch variant {
 	case "disabled":
-		s.Engine().DisableVersions()
+		s.Versions().Disable()
 	case "active":
 		_ = sys.AtomicRO(func(tx *stm.Tx) error { return nil })
 	}

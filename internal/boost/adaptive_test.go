@@ -329,7 +329,7 @@ func TestGovernorDemotesAfterQuiet(t *testing.T) {
 // transactions.
 func TestAdaptiveUndoAndVersionsSurviveMigration(t *testing.T) {
 	sys := newSys()
-	obj := NewAdaptive[int64](sys).EnableVersions()
+	obj := NewAdaptive[int64](sys)
 	for round := 0; round < 2; round++ {
 		inverses := 0
 		und := &tagUndo{fn: func(int) { inverses++ }}

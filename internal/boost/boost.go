@@ -197,12 +197,6 @@ type Object[K comparable] struct {
 	// mutation (see Emit). Nil — the default — makes Emit a no-op, so
 	// undurable objects pay one predictable branch.
 	journal Journal[K]
-
-	// vtab is the per-key version store backing lock-free snapshot reads;
-	// nil for unversioned engines (see versions.go). verPool recycles the
-	// per-tx pending version logs.
-	vtab    *versionTable[K]
-	verPool sync.Pool
 }
 
 // Journal receives forward operation images from a boosted object. The WAL

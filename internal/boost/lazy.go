@@ -83,11 +83,11 @@ const (
 // LazyEntry is one deferred operation or observation. Entries are plain
 // values appended to a pooled slice, so a deferred mutation allocates
 // nothing beyond slice growth (amortized).
-type LazyEntry[K comparable] struct {
+type LazyEntry[K comparable, V any] struct {
 	Kind LazyKind
 	Key  K
 	N    int64 // LazyInc delta / LazyObserve'd count / net-op applied flag
-	Val  any   // LazyPut value / LazyObserve'd binding
+	Val  V     // LazyPut value / LazyObserve'd binding (struct{} for sets and multisets)
 	OK   bool  // LazyObserve'd presence / net set op: checked (observation-backed)
 }
 
@@ -112,10 +112,10 @@ type LazyEntry[K comparable] struct {
 // transaction may still abort; with eager=false the transaction is past
 // phase-B validation and the op applies bare (plus Emit), reversible only
 // through LazyUnapply on the apply-check failure path.
-type LazySpec[K comparable] interface {
-	LazyValidate(e LazyEntry[K]) bool
-	LazyApply(tx *stm.Tx, e *LazyEntry[K], eager bool) bool
-	LazyUnapply(e *LazyEntry[K])
+type LazySpec[K comparable, V any] interface {
+	LazyValidate(e LazyEntry[K, V]) bool
+	LazyApply(tx *stm.Tx, e *LazyEntry[K, V], eager bool) bool
+	LazyUnapply(e *LazyEntry[K, V])
 }
 
 // lazyAccSpill is the distinct-key count past which fusion's accumulator
@@ -143,15 +143,15 @@ type lazyAcc[K comparable] struct {
 // applied anywhere before every lock is held and every observation has
 // re-checked. Logs are pooled per object and reused across attempts and
 // Atomic calls.
-type LazyLog[K comparable] struct {
+type LazyLog[K comparable, V any] struct {
 	obj  *Object[K]
-	spec LazySpec[K]
-	ents []LazyEntry[K]
+	spec LazySpec[K, V]
+	ents []LazyEntry[K, V]
 
 	// Drain scratch, rebuilt by fuse and reused across drains.
 	accs   []lazyAcc[K]
 	accIdx map[K]int // non-nil once len(accs) > lazyAccSpill
-	net    []LazyEntry[K]
+	net    []LazyEntry[K, V]
 
 	// ro marks a log attached by a read-only transaction: observations may
 	// accumulate (the eager-fallback read path), mutations panic. Set by
@@ -160,7 +160,7 @@ type LazyLog[K comparable] struct {
 }
 
 // Append adds one entry to the pending log.
-func (lg *LazyLog[K]) Append(e LazyEntry[K]) {
+func (lg *LazyLog[K, V]) Append(e LazyEntry[K, V]) {
 	if lg.ro && e.Kind != LazyObserve {
 		panic("boost: deferred mutation in read-only transaction")
 	}
@@ -168,24 +168,30 @@ func (lg *LazyLog[K]) Append(e LazyEntry[K]) {
 }
 
 // ObservePresence records an unlocked membership read (sets).
-func (lg *LazyLog[K]) ObservePresence(key K, present bool) {
-	lg.ents = append(lg.ents, LazyEntry[K]{Kind: LazyObserve, Key: key, OK: present})
+func (lg *LazyLog[K, V]) ObservePresence(key K, present bool) {
+	lg.ents = append(lg.ents, LazyEntry[K, V]{Kind: LazyObserve, Key: key, OK: present})
 }
 
 // ObserveCount records an unlocked occurrence-count read (multisets).
-func (lg *LazyLog[K]) ObserveCount(key K, n int64) {
-	lg.ents = append(lg.ents, LazyEntry[K]{Kind: LazyObserve, Key: key, N: n})
+func (lg *LazyLog[K, V]) ObserveCount(key K, n int64) {
+	lg.ents = append(lg.ents, LazyEntry[K, V]{Kind: LazyObserve, Key: key, N: n})
 }
 
-// ObserveBinding records an unlocked binding read (maps).
-func (lg *LazyLog[K]) ObserveBinding(key K, val any, ok bool) {
-	lg.ents = append(lg.ents, LazyEntry[K]{Kind: LazyObserve, Key: key, Val: val, OK: ok})
+// ObserveBinding records an unlocked binding read (maps). An absent key is
+// recorded with the zero value whatever the base handed back beside !ok, so
+// Binding answers absent keys alike whichever entry decides.
+func (lg *LazyLog[K, V]) ObserveBinding(key K, val V, ok bool) {
+	if !ok {
+		var zero V
+		val = zero
+	}
+	lg.ents = append(lg.ents, LazyEntry[K, V]{Kind: LazyObserve, Key: key, Val: val, OK: ok})
 }
 
 // Membership answers a set-shaped read from the pending log: the latest
 // entry for key decides. known=false means the log has never touched key
 // and the caller must observe the base first.
-func (lg *LazyLog[K]) Membership(key K) (present, known bool) {
+func (lg *LazyLog[K, V]) Membership(key K) (present, known bool) {
 	for i := len(lg.ents) - 1; i >= 0; i-- {
 		e := &lg.ents[i]
 		if e.Key != key {
@@ -204,7 +210,7 @@ func (lg *LazyLog[K]) Membership(key K) (present, known bool) {
 }
 
 // Binding answers a map-shaped read from the pending log.
-func (lg *LazyLog[K]) Binding(key K) (val any, ok, known bool) {
+func (lg *LazyLog[K, V]) Binding(key K) (val V, ok, known bool) {
 	for i := len(lg.ents) - 1; i >= 0; i-- {
 		e := &lg.ents[i]
 		if e.Key != key {
@@ -214,18 +220,18 @@ func (lg *LazyLog[K]) Binding(key K) (val any, ok, known bool) {
 		case LazyPut:
 			return e.Val, true, true
 		case LazyDelete:
-			return nil, false, true
+			return val, false, true
 		case LazyObserve:
 			return e.Val, e.OK, true
 		}
 	}
-	return nil, false, false
+	return val, false, false
 }
 
 // CountDelta answers a multiset-shaped read: the observed base count (if
 // any observation was logged) plus the pending delta. known=false means key
 // is untouched and the caller must observe first.
-func (lg *LazyLog[K]) CountDelta(key K) (obs, delta int64, known bool) {
+func (lg *LazyLog[K, V]) CountDelta(key K) (obs, delta int64, known bool) {
 	for i := range lg.ents {
 		e := &lg.ents[i]
 		if e.Key != key {
@@ -244,12 +250,12 @@ func (lg *LazyLog[K]) CountDelta(key K) (obs, delta int64, known bool) {
 }
 
 // Len reports the number of pending entries.
-func (lg *LazyLog[K]) Len() int { return len(lg.ents) }
+func (lg *LazyLog[K, V]) Len() int { return len(lg.ents) }
 
 // TruncateTo discards entries at index n and later, clearing their payload
 // references. n past the current length is a no-op (an early flush may have
 // shrunk the log below a savepoint recorded before it).
-func (lg *LazyLog[K]) TruncateTo(n int) {
+func (lg *LazyLog[K, V]) TruncateTo(n int) {
 	if n < 0 {
 		n = 0
 	}
@@ -263,7 +269,7 @@ func (lg *LazyLog[K]) TruncateTo(n int) {
 // acc returns the accumulator for key, creating it on first touch. The
 // returned pointer is valid only until the next acc call (the slice may
 // grow).
-func (lg *LazyLog[K]) acc(key K) *lazyAcc[K] {
+func (lg *LazyLog[K, V]) acc(key K) *lazyAcc[K] {
 	if lg.accIdx != nil {
 		if i, ok := lg.accIdx[key]; ok {
 			return &lg.accs[i]
@@ -299,7 +305,7 @@ func (lg *LazyLog[K]) acc(key K) *lazyAcc[K] {
 //
 // The object's fusion counters advance here: logged counts mutation entries
 // drained, fused counts the ones elimination removed.
-func (lg *LazyLog[K]) fuse() {
+func (lg *LazyLog[K, V]) fuse() {
 	clear(lg.accs)
 	lg.accs = lg.accs[:0]
 	lg.accIdx = nil // maps never shrink; drop, as the runtime does lockIdx
@@ -338,23 +344,23 @@ func (lg *LazyLog[K]) fuse() {
 				// (quiet) keys apply as upserts: OK=false tells the spec a
 				// no-op base call is fine, not staleness.
 				a.applyChecked = a.obs >= 0
-				lg.net = append(lg.net, LazyEntry[K]{Kind: LazyAdd, Key: a.key, OK: a.applyChecked})
+				lg.net = append(lg.net, LazyEntry[K, V]{Kind: LazyAdd, Key: a.key, OK: a.applyChecked})
 			case LazyRemove:
 				if a.obs >= 0 && !lg.ents[a.obs].OK {
 					continue // was absent, ends absent: annihilated
 				}
 				a.applyChecked = a.obs >= 0
-				lg.net = append(lg.net, LazyEntry[K]{Kind: LazyRemove, Key: a.key, OK: a.applyChecked})
+				lg.net = append(lg.net, LazyEntry[K, V]{Kind: LazyRemove, Key: a.key, OK: a.applyChecked})
 			case LazyPut:
-				lg.net = append(lg.net, LazyEntry[K]{Kind: LazyPut, Key: a.key, Val: last.Val})
+				lg.net = append(lg.net, LazyEntry[K, V]{Kind: LazyPut, Key: a.key, Val: last.Val})
 			case LazyDelete:
 				if a.obs >= 0 && !lg.ents[a.obs].OK {
 					continue // deleting a key observed absent: annihilated
 				}
-				lg.net = append(lg.net, LazyEntry[K]{Kind: LazyDelete, Key: a.key})
+				lg.net = append(lg.net, LazyEntry[K, V]{Kind: LazyDelete, Key: a.key})
 			}
 		} else if a.delta != 0 {
-			lg.net = append(lg.net, LazyEntry[K]{Kind: LazyInc, Key: a.key, N: a.delta})
+			lg.net = append(lg.net, LazyEntry[K, V]{Kind: LazyInc, Key: a.key, N: a.delta})
 		}
 	}
 	lg.obj.lazyLogged.Add(uint64(logged))
@@ -366,7 +372,7 @@ func (lg *LazyLog[K]) fuse() {
 // needs the observations stable too. Locks are demanded per key in
 // first-touch order; the engine maps the demand onto its discipline (keyed
 // table, coarse lock, or the degenerate interval [k,k]).
-func (lg *LazyLog[K]) acquire(tx *stm.Tx) {
+func (lg *LazyLog[K, V]) acquire(tx *stm.Tx) {
 	for i := range lg.accs {
 		switch faultpoint.Hit(faultpoint.BoostLazyDrain) {
 		case faultpoint.Timeout:
@@ -380,7 +386,7 @@ func (lg *LazyLog[K]) acquire(tx *stm.Tx) {
 
 // PrepareCommit fuses the log and acquires the commit-instant locks
 // (phase A of the drain).
-func (lg *LazyLog[K]) PrepareCommit(tx *stm.Tx) {
+func (lg *LazyLog[K, V]) PrepareCommit(tx *stm.Tx) {
 	lg.fuse()
 	lg.acquire(tx)
 }
@@ -391,7 +397,7 @@ func (lg *LazyLog[K]) PrepareCommit(tx *stm.Tx) {
 // this transaction handed out may be wrong, so it aborts and retries. Keys
 // whose net op is validate-by-apply are skipped: their re-check is the
 // apply call itself, saving a base traversal on the common path.
-func (lg *LazyLog[K]) ValidateCommit(tx *stm.Tx) {
+func (lg *LazyLog[K, V]) ValidateCommit(tx *stm.Tx) {
 	for i := range lg.accs {
 		a := &lg.accs[i]
 		if a.obs < 0 || a.applyChecked {
@@ -409,7 +415,7 @@ func (lg *LazyLog[K]) ValidateCommit(tx *stm.Tx) {
 // discovers its observation stale — the failing call left the base
 // untouched, the already-applied prefix has been unapplied, and the runtime
 // must unapply every earlier log and abort.
-func (lg *LazyLog[K]) ApplyCommit(tx *stm.Tx) bool {
+func (lg *LazyLog[K, V]) ApplyCommit(tx *stm.Tx) bool {
 	for i := range lg.net {
 		if !lg.spec.LazyApply(tx, &lg.net[i], false) {
 			for j := i - 1; j >= 0; j-- {
@@ -425,7 +431,7 @@ func (lg *LazyLog[K]) ApplyCommit(tx *stm.Tx) bool {
 // runtime calls it on logs whose phase C already ran when a later log's
 // apply-check failed; the abstract locks from PrepareCommit are still held,
 // so the inversion is invisible to other transactions.
-func (lg *LazyLog[K]) UnapplyCommit() {
+func (lg *LazyLog[K, V]) UnapplyCommit() {
 	for i := len(lg.net) - 1; i >= 0; i-- {
 		lg.spec.LazyUnapply(&lg.net[i])
 	}
@@ -437,7 +443,7 @@ func (lg *LazyLog[K]) UnapplyCommit() {
 // entries so a *nested* rollback re-pends rather than loses them. Lazy
 // ordered sets call it before range queries, which the point-keyed pending
 // log cannot answer.
-func (lg *LazyLog[K]) Flush(tx *stm.Tx) {
+func (lg *LazyLog[K, V]) Flush(tx *stm.Tx) {
 	if len(lg.ents) == 0 {
 		return
 	}
@@ -449,7 +455,7 @@ func (lg *LazyLog[K]) Flush(tx *stm.Tx) {
 			tx.Abort(ErrLazyValidation)
 		}
 	}
-	snap := make([]LazyEntry[K], len(lg.ents))
+	snap := make([]LazyEntry[K, V], len(lg.ents))
 	copy(snap, lg.ents)
 	tx.Log(func() { lg.restorePrefix(snap) })
 	for i := range lg.net {
@@ -465,12 +471,12 @@ func (lg *LazyLog[K]) Flush(tx *stm.Tx) {
 // restorePrefix re-pends a flushed snapshot ahead of whatever the log holds
 // now. It runs as an undo closure, in reverse flush order, so repeated
 // flushes reassemble the original entry sequence.
-func (lg *LazyLog[K]) restorePrefix(snap []LazyEntry[K]) {
+func (lg *LazyLog[K, V]) restorePrefix(snap []LazyEntry[K, V]) {
 	if len(lg.ents) == 0 {
 		lg.ents = append(lg.ents, snap...)
 		return
 	}
-	merged := make([]LazyEntry[K], 0, len(snap)+len(lg.ents))
+	merged := make([]LazyEntry[K, V], 0, len(snap)+len(lg.ents))
 	merged = append(merged, snap...)
 	merged = append(merged, lg.ents...)
 	lg.ents = merged
@@ -478,7 +484,7 @@ func (lg *LazyLog[K]) restorePrefix(snap []LazyEntry[K]) {
 
 // Recycle clears the log and returns it to its object's pool. Called by the
 // runtime exactly once per attachment, after commit or rollback.
-func (lg *LazyLog[K]) Recycle() {
+func (lg *LazyLog[K, V]) Recycle() {
 	lg.TruncateTo(0)
 	clear(lg.accs)
 	lg.accs = lg.accs[:0]
@@ -492,13 +498,13 @@ func (lg *LazyLog[K]) Recycle() {
 // and attaching one (from the object's pool) on first use. spec is the
 // boosted object's drain callbacks; every call for one object must pass the
 // same spec.
-func (o *Object[K]) PendingLog(tx *stm.Tx, spec LazySpec[K]) *LazyLog[K] {
+func PendingLog[K comparable, V any](o *Object[K], tx *stm.Tx, spec LazySpec[K, V]) *LazyLog[K, V] {
 	if p := tx.LazyLookup(o); p != nil {
-		return p.(*LazyLog[K])
+		return p.(*LazyLog[K, V])
 	}
-	lg, _ := o.logPool.Get().(*LazyLog[K])
+	lg, _ := o.logPool.Get().(*LazyLog[K, V])
 	if lg == nil {
-		lg = new(LazyLog[K])
+		lg = new(LazyLog[K, V])
 	}
 	lg.obj, lg.spec, lg.ro = o, spec, tx.ReadOnly()
 	tx.LazyAttach(o, lg)
@@ -509,7 +515,7 @@ func (o *Object[K]) PendingLog(tx *stm.Tx, spec LazySpec[K]) *LazyLog[K] {
 // LazyLog.Flush). A transaction that never deferred an op here is a no-op.
 func (o *Object[K]) FlushPending(tx *stm.Tx) {
 	if p := tx.LazyLookup(o); p != nil {
-		p.(*LazyLog[K]).Flush(tx)
+		p.(interface{ Flush(*stm.Tx) }).Flush(tx)
 	}
 }
 
@@ -525,7 +531,7 @@ func (o *Object[K]) LazyStats() (logged, fused uint64) {
 	return o.lazyLogged.Load(), o.lazyFused.Load()
 }
 
-var _ stm.LazyPending = (*LazyLog[int])(nil)
+var _ stm.LazyPending = (*LazyLog[int, int])(nil)
 
 // lazify flips a freshly constructed engine into the lazy discipline.
 func lazify[K comparable](o *Object[K]) *Object[K] {
@@ -543,12 +549,6 @@ func NewLazyKeyedStripes[K comparable](stripes int) *Object[K] {
 	return lazify(NewKeyedStripes[K](stripes))
 }
 
-// NewLazyKeyedPolicy is NewLazyKeyed with an explicit contention policy on
-// the per-key locks.
-func NewLazyKeyedPolicy[K comparable](stripes int, p lockmgr.Policy) *Object[K] {
-	return lazify(NewKeyedPolicy[K](stripes, p))
-}
-
 // NewLazyCoarse returns a lazy engine whose drain funnels through one
 // exclusive lock.
 func NewLazyCoarse[K comparable]() *Object[K] { return lazify(NewCoarse[K]()) }
@@ -557,9 +557,3 @@ func NewLazyCoarse[K comparable]() *Object[K] { return lazify(NewCoarse[K]()) }
 // ops lock [k,k] at the drain; range queries early-flush and lock their
 // interval eagerly (the pending log is point-keyed).
 func NewLazyRanged[K cmp.Ordered]() *Object[K] { return lazify(NewRanged[K]()) }
-
-// NewLazyRangedPartition is NewLazyRanged with an explicit stripe count and
-// key partition.
-func NewLazyRangedPartition[K cmp.Ordered](stripes int, p lockmgr.Partition[K]) *Object[K] {
-	return lazify(NewRangedPartition(stripes, p))
-}

@@ -21,13 +21,13 @@ import (
 // sustained blocking, then a per-key table for transactions born after the
 // migration barrier.
 func NewAdaptiveSet[K comparable](sys *stm.System, base BaseSet[K]) *Set[K] {
-	return &Set[K]{base: base, obj: boost.NewAdaptive[K](sys).EnableVersions()}
+	return &Set[K]{base: base, obj: boost.NewAdaptive[K](sys)}
 }
 
 // NewAdaptiveSetConfig is NewAdaptiveSet with explicit promotion/demotion
 // thresholds.
 func NewAdaptiveSetConfig[K comparable](sys *stm.System, base BaseSet[K], cfg boost.AdaptiveConfig) *Set[K] {
-	return &Set[K]{base: base, obj: boost.NewAdaptiveConfig[K](sys, cfg).EnableVersions()}
+	return &Set[K]{base: base, obj: boost.NewAdaptiveConfig[K](sys, cfg)}
 }
 
 // NewAdaptiveSkipListSet boosts the lock-free skip list adaptively — the
@@ -42,7 +42,7 @@ func NewAdaptiveSkipListSet(sys *stm.System) *Set[int64] {
 // transaction latched at its first demand (for a pure-lazy transaction, the
 // drain itself).
 func NewLazyAdaptiveSet[K comparable](sys *stm.System, base BaseSet[K]) *Set[K] {
-	return &Set[K]{base: base, obj: boost.NewLazyAdaptive[K](sys).EnableVersions()}
+	return &Set[K]{base: base, obj: boost.NewLazyAdaptive[K](sys)}
 }
 
 // NewLazyAdaptiveSkipListSet is the lazy twin of NewAdaptiveSkipListSet.
@@ -53,34 +53,26 @@ func NewLazyAdaptiveSkipListSet(sys *stm.System) *Set[int64] {
 // NewAdaptiveMap boosts a linearizable base map with the adaptive
 // discipline.
 func NewAdaptiveMap[K comparable, V any](sys *stm.System, base BaseMap[K, V]) *Map[K, V] {
-	return &Map[K, V]{base: base, obj: boost.NewAdaptive[K](sys).EnableVersions()}
+	return &Map[K, V]{base: base, obj: boost.NewAdaptive[K](sys)}
 }
 
 // NewLazyAdaptiveMap is the lazy twin of NewAdaptiveMap; V is bound to
 // comparable for commit-time observation checks, as in NewLazyMap.
 func NewLazyAdaptiveMap[K, V comparable](sys *stm.System, base BaseMap[K, V]) *Map[K, V] {
-	m := &Map[K, V]{base: base, obj: boost.NewLazyAdaptive[K](sys).EnableVersions()}
-	m.lazyEq = func(obsVal any, obsOK bool, cur V, curOK bool) bool {
-		if obsOK != curOK {
-			return false
-		}
-		if !obsOK {
-			return true
-		}
-		return obsVal.(V) == cur
-	}
+	m := &Map[K, V]{base: base, obj: boost.NewLazyAdaptive[K](sys)}
+	m.lazyEq = func(observed, current V) bool { return observed == current }
 	return m
 }
 
 // NewAdaptiveMultiset returns an adaptively boosted bag over the striped
 // concurrent multiset.
 func NewAdaptiveMultiset[K comparable](sys *stm.System) *Multiset[K] {
-	return &Multiset[K]{base: hashset.NewMultiSet[K](), obj: boost.NewAdaptive[K](sys).EnableVersions()}
+	return &Multiset[K]{base: hashset.NewMultiSet[K](), obj: boost.NewAdaptive[K](sys)}
 }
 
 // NewLazyAdaptiveMultiset is the lazy twin of NewAdaptiveMultiset: per-key
 // deltas fuse into one net increment per key at commit, applied under the
 // latched granularity.
 func NewLazyAdaptiveMultiset[K comparable](sys *stm.System) *Multiset[K] {
-	return &Multiset[K]{base: hashset.NewMultiSet[K](), obj: boost.NewLazyAdaptive[K](sys).EnableVersions()}
+	return &Multiset[K]{base: hashset.NewMultiSet[K](), obj: boost.NewLazyAdaptive[K](sys)}
 }

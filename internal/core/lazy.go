@@ -22,7 +22,7 @@ import (
 
 // LazyValidate re-checks a membership observation under the key's abstract
 // lock: the base must still answer what the unlocked read answered.
-func (s *Set[K]) LazyValidate(e boost.LazyEntry[K]) bool {
+func (s *Set[K]) LazyValidate(e keyEntry[K]) bool {
 	return s.base.Contains(e.Key) == e.OK
 }
 
@@ -38,16 +38,13 @@ func (s *Set[K]) LazyValidate(e boost.LazyEntry[K]) bool {
 // logs an undo record or emits a forward image. eager=true is the
 // early-flush path: the transaction may still abort, so the record is
 // logged exactly as the eager methods log it.
-func (s *Set[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
+func (s *Set[K]) LazyApply(tx *stm.Tx, e *keyEntry[K], eager bool) bool {
 	k := e.Key
 	// The drain (and the early flush) holds k's abstract lock, so the
 	// seed-before-mutate protocol applies here exactly as in the eager
 	// methods. A version recorded during the drain is discarded with the
 	// transaction if a later log's apply-check fails and LazyUnapply runs.
-	live := s.obj.VersioningLive(tx)
-	if live && s.obj.NeedsSeed(k) {
-		s.obj.SeedVersion(tx, k, boost.Version{Present: s.base.Contains(k)})
-	}
+	live := s.seedPresence(tx, k)
 	switch e.Kind {
 	case boost.LazyAdd:
 		if !s.base.Add(k) {
@@ -59,7 +56,7 @@ func (s *Set[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
 		}
 		s.obj.Emit(tx, RedoAdd, k)
 		if live {
-			s.obj.RecordVersion(tx, k, boost.Version{Present: true})
+			s.vers.Record(tx, k, true, struct{}{})
 		}
 	case boost.LazyRemove:
 		if !s.base.Remove(k) {
@@ -71,7 +68,7 @@ func (s *Set[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
 		}
 		s.obj.Emit(tx, RedoRemove, k)
 		if live {
-			s.obj.RecordVersion(tx, k, boost.Version{Present: false})
+			s.vers.Record(tx, k, false, struct{}{})
 		}
 	}
 	return true
@@ -81,7 +78,7 @@ func (s *Set[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
 // after a later log's apply-check failed; the key's abstract lock is still
 // held). An apply that was a no-op upsert (e.N left zero) has nothing to
 // invert.
-func (s *Set[K]) LazyUnapply(e *boost.LazyEntry[K]) {
+func (s *Set[K]) LazyUnapply(e *keyEntry[K]) {
 	if e.N == 0 {
 		return
 	}
@@ -94,7 +91,7 @@ func (s *Set[K]) LazyUnapply(e *boost.LazyEntry[K]) {
 }
 
 // LazyValidate re-checks a count observation under the key's abstract lock.
-func (m *Multiset[K]) LazyValidate(e boost.LazyEntry[K]) bool {
+func (m *Multiset[K]) LazyValidate(e keyEntry[K]) bool {
 	return int64(m.base.Count(e.Key)) == e.N
 }
 
@@ -105,15 +102,12 @@ func (m *Multiset[K]) LazyValidate(e boost.LazyEntry[K]) bool {
 // transaction's running view was positive.
 // Multisets are phase-B validated (a delta applies unconditionally), so the
 // apply always reports success.
-func (m *Multiset[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
+func (m *Multiset[K]) LazyApply(tx *stm.Tx, e *keyEntry[K], eager bool) bool {
 	if e.Kind != boost.LazyInc {
 		return true
 	}
 	k := e.Key
-	live := m.obj.VersioningLive(tx)
-	if live && e.N != 0 && m.obj.NeedsSeed(k) {
-		m.seedCount(tx, k)
-	}
+	live := e.N != 0 && m.seedCount(tx, k)
 	for n := e.N; n > 0; n-- {
 		m.base.Add(k)
 		if eager {
@@ -130,15 +124,15 @@ func (m *Multiset[K]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) b
 		}
 		m.obj.Emit(tx, RedoRemove, k)
 	}
-	if live && e.N != 0 {
+	if live {
 		c := int64(m.base.Count(k))
-		m.obj.RecordVersion(tx, k, boost.Version{Present: c > 0, N: c})
+		m.vers.Record(tx, k, c > 0, c)
 	}
 	return true
 }
 
 // LazyUnapply inverts one applied multiset delta unit-for-unit.
-func (m *Multiset[K]) LazyUnapply(e *boost.LazyEntry[K]) {
+func (m *Multiset[K]) LazyUnapply(e *keyEntry[K]) {
 	for n := e.N; n > 0; n-- {
 		m.base.RemoveOne(e.Key)
 	}
@@ -150,9 +144,9 @@ func (m *Multiset[K]) LazyUnapply(e *boost.LazyEntry[K]) {
 // LazyValidate re-checks a binding observation under the key's abstract
 // lock, comparing presence and (when present) the value via the lazyEq
 // closure the lazy constructor installed.
-func (m *Map[K, V]) LazyValidate(e boost.LazyEntry[K]) bool {
+func (m *Map[K, V]) LazyValidate(e boost.LazyEntry[K, V]) bool {
 	cur, ok := m.base.Get(e.Key)
-	return m.lazyEq(e.Val, e.OK, cur, ok)
+	return ok == e.OK && (!ok || m.lazyEq(e.Val, cur))
 }
 
 // LazyApply applies one fused net map op: the last binding written (fusion
@@ -161,15 +155,12 @@ func (m *Map[K, V]) LazyValidate(e boost.LazyEntry[K]) bool {
 // observation compares values, which the apply's answer cannot check — so
 // the apply always reports success; the displaced binding is stashed into
 // the entry for LazyUnapply.
-func (m *Map[K, V]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) bool {
+func (m *Map[K, V]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K, V], eager bool) bool {
 	k := e.Key
-	live := m.obj.VersioningLive(tx)
-	if live && m.obj.NeedsSeed(k) {
-		m.seedBinding(tx, k)
-	}
+	live := m.seedBinding(tx, k)
 	switch e.Kind {
 	case boost.LazyPut:
-		val := e.Val.(V)
+		val := e.Val
 		old, existed := m.base.Put(k, val)
 		if eager {
 			m.undo.Log(tx, m, mapUndo[K, V]{k, old, existed})
@@ -178,7 +169,7 @@ func (m *Map[K, V]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) boo
 			m.obj.EmitEnd(tx, RedoAdd, m.encVal(m.obj.EmitBegin(tx, k), val))
 		}
 		if live {
-			m.obj.RecordVersion(tx, k, boost.Version{Present: true, Val: val})
+			m.vers.Record(tx, k, true, val)
 		}
 		e.Val, e.OK = old, existed
 	case boost.LazyDelete:
@@ -191,7 +182,8 @@ func (m *Map[K, V]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) boo
 		}
 		m.obj.Emit(tx, RedoRemove, k)
 		if live {
-			m.obj.RecordVersion(tx, k, boost.Version{Present: false})
+			var none V
+			m.vers.Record(tx, k, false, none)
 		}
 		e.Val, e.OK = old, existed
 	}
@@ -200,46 +192,46 @@ func (m *Map[K, V]) LazyApply(tx *stm.Tx, e *boost.LazyEntry[K], eager bool) boo
 
 // LazyUnapply restores the binding a net map op displaced, from the state
 // LazyApply stashed into the entry.
-func (m *Map[K, V]) LazyUnapply(e *boost.LazyEntry[K]) {
+func (m *Map[K, V]) LazyUnapply(e *boost.LazyEntry[K, V]) {
 	switch e.Kind {
 	case boost.LazyPut:
 		if e.OK {
-			m.base.Put(e.Key, e.Val.(V))
+			m.base.Put(e.Key, e.Val)
 		} else {
 			m.base.Delete(e.Key)
 		}
 	case boost.LazyDelete:
 		if e.OK {
-			m.base.Put(e.Key, e.Val.(V))
+			m.base.Put(e.Key, e.Val)
 		}
 	}
 }
 
 // Interface conformance: the specs are their own drain callbacks.
 var (
-	_ boost.LazySpec[int64] = (*Set[int64])(nil)
-	_ boost.LazySpec[int64] = (*Multiset[int64])(nil)
-	_ boost.LazySpec[int64] = (*Map[int64, int64])(nil)
+	_ boost.LazySpec[int64, struct{}] = (*Set[int64])(nil)
+	_ boost.LazySpec[int64, struct{}] = (*Multiset[int64])(nil)
+	_ boost.LazySpec[int64, int64]    = (*Map[int64, int64])(nil)
 )
 
 // NewLazyKeyedSet boosts base lazily with one abstract lock per key: every
 // mutation defers to the pending log, locks are taken only for the commit
 // instant, and add∘remove pairs on one key annihilate before touching base.
 func NewLazyKeyedSet[K comparable](base BaseSet[K]) *Set[K] {
-	return &Set[K]{base: base, obj: boost.NewLazyKeyed[K]().EnableVersions()}
+	return &Set[K]{base: base, obj: boost.NewLazyKeyed[K]()}
 }
 
 // NewLazyKeyedSetStripes is NewLazyKeyedSet with an explicit lock-table
 // stripe count.
 func NewLazyKeyedSetStripes[K comparable](base BaseSet[K], stripes int) *Set[K] {
-	return &Set[K]{base: base, obj: boost.NewLazyKeyedStripes[K](stripes).EnableVersions()}
+	return &Set[K]{base: base, obj: boost.NewLazyKeyedStripes[K](stripes)}
 }
 
 // NewLazyCoarseSet boosts base lazily behind a single abstract lock, held
 // only for the commit instant — coarse hold time shrinks from the whole
 // body to the drain.
 func NewLazyCoarseSet[K comparable](base BaseSet[K]) *Set[K] {
-	return &Set[K]{base: base, obj: boost.NewLazyCoarse[K]().EnableVersions()}
+	return &Set[K]{base: base, obj: boost.NewLazyCoarse[K]()}
 }
 
 // NewLazyHashSetOf returns a lazy transactional set over the striped
@@ -264,13 +256,13 @@ func NewLazyOrderedSet() *OrderedSet[int64] {
 // the log and run eagerly under their interval lock.
 func NewLazyOrderedSetOf[K cmp.Ordered]() *OrderedSet[K] {
 	sl := skiplist.NewOf[K]()
-	return &OrderedSet[K]{Set: Set[K]{base: sl, obj: boost.NewLazyRanged[K]().EnableVersions()}, sl: sl}
+	return &OrderedSet[K]{Set: Set[K]{base: sl, obj: boost.NewLazyRanged[K]()}, sl: sl}
 }
 
 // NewLazyMultiset returns a lazy boosted bag: per-key deltas accumulate in
 // the pending log and fuse into one net increment per key at commit.
 func NewLazyMultiset[K comparable]() *Multiset[K] {
-	return &Multiset[K]{base: hashset.NewMultiSet[K](), obj: boost.NewLazyKeyed[K]().EnableVersions()}
+	return &Multiset[K]{base: hashset.NewMultiSet[K](), obj: boost.NewLazyKeyed[K]()}
 }
 
 // NewLazyRBTreeMap is the lazy counterpart of NewRBTreeMap, with V bound to
@@ -283,15 +275,7 @@ func NewLazyRBTreeMap[V comparable]() *Map[int64, V] {
 // be comparable: commit-time validation compares the observed binding
 // against the current one.
 func NewLazyMap[K, V comparable](base BaseMap[K, V]) *Map[K, V] {
-	m := &Map[K, V]{base: base, obj: boost.NewLazyKeyed[K]().EnableVersions()}
-	m.lazyEq = func(obsVal any, obsOK bool, cur V, curOK bool) bool {
-		if obsOK != curOK {
-			return false
-		}
-		if !obsOK {
-			return true
-		}
-		return obsVal.(V) == cur
-	}
+	m := &Map[K, V]{base: base, obj: boost.NewLazyKeyed[K]()}
+	m.lazyEq = func(observed, current V) bool { return observed == current }
 	return m
 }

@@ -46,6 +46,34 @@ func TestLazyDeferredAddRemoveAllocBudget(t *testing.T) {
 	}
 }
 
+// A deferred Put keeps its value by value in the map's typed pending entry
+// (it was boxed into an interface, one object per Put of anything wider than
+// a byte), through fusion and the commit-time apply.
+func TestLazyMapPutAllocsZero(t *testing.T) {
+	skipIfRace(t)
+	sys := stm.NewSystem(stm.Config{})
+	mp := NewLazyMap[int64, int64](newMemMap[int64, int64]())
+	var k int64
+	body := func(tx *stm.Tx) error {
+		mp.Put(tx, k, 1_000_000+k)
+		mp.Put(tx, k, 2_000_000+k) // last writer wins at the drain
+		if v, _ := mp.Get(tx, k); v != 2_000_000+k {
+			t.Errorf("deferred Put not read back: %d", v)
+		}
+		return nil
+	}
+	step := func() {
+		k = (k + 1) & 63
+		_ = sys.Atomic(body)
+	}
+	for i := 0; i < 64; i++ { // install every key's lock and map slot
+		step()
+	}
+	if avg := testing.AllocsPerRun(200, step); avg > 0 {
+		t.Fatalf("lazy Put+Put+Get allocates %.2f objects/tx, want 0", avg)
+	}
+}
+
 func TestLazyFusedPairAllocsZero(t *testing.T) {
 	skipIfRace(t)
 	sys := stm.NewSystem(stm.Config{})

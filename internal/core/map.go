@@ -28,11 +28,15 @@ type Map[K comparable, V any] struct {
 	// keeps the map undurable and Put emission free.
 	encVal func([]byte, V) []byte
 
-	// lazyEq compares an observed binding against the current one during a
+	// lazyEq compares an observed value against the current one during a
 	// lazy drain's validation. Non-nil iff the map was built lazy:
 	// NewLazyMap constrains V to comparable so the comparison is
 	// well-defined, a bound the eager Map does not need.
-	lazyEq func(obsVal any, obsOK bool, cur V, curOK bool) bool
+	lazyEq func(observed, current V) bool
+
+	// vers is last: it is by far the largest field (the stripe table, by
+	// value), and the fields every call reads stay on one cache line.
+	vers boost.Versions[K, V]
 }
 
 // mapUndo is the map's undo record: the binding key had before the call,
@@ -54,7 +58,7 @@ func (m *Map[K, V]) ApplyUndo(e mapUndo[K, V]) {
 
 // NewMap boosts a linearizable base map.
 func NewMap[K comparable, V any](base BaseMap[K, V]) *Map[K, V] {
-	return &Map[K, V]{base: base, obj: boost.NewKeyed[K]().EnableVersions()}
+	return &Map[K, V]{base: base, obj: boost.NewKeyed[K]()}
 }
 
 // Put binds val to key, returning the previous value and whether one
@@ -64,33 +68,32 @@ func NewMap[K comparable, V any](base BaseMap[K, V]) *Map[K, V] {
 func (m *Map[K, V]) Put(tx *stm.Tx, key K, val V) (V, bool) {
 	if m.obj.Lazy() {
 		lg, old, existed := m.lazyBinding(tx, key)
-		lg.Append(boost.LazyEntry[K]{Kind: boost.LazyPut, Key: key, Val: val})
+		lg.Append(boost.LazyEntry[K, V]{Kind: boost.LazyPut, Key: key, Val: val})
 		return old, existed
 	}
 	m.obj.Acquire(tx, boost.Key(key))
-	live := m.obj.VersioningLive(tx)
-	if live && m.obj.NeedsSeed(key) {
-		m.seedBinding(tx, key)
-	}
+	live := m.seedBinding(tx, key)
 	old, existed := m.base.Put(key, val)
 	m.undo.Log(tx, m, mapUndo[K, V]{key, old, existed})
 	if m.encVal != nil {
 		m.obj.EmitEnd(tx, RedoAdd, m.encVal(m.obj.EmitBegin(tx, key), val))
 	}
 	if live {
-		m.obj.RecordVersion(tx, key, boost.Version{Present: true, Val: val})
+		m.vers.Record(tx, key, true, val)
 	}
 	return old, existed
 }
 
-// seedBinding plants key's pre-transaction binding at the version floor.
+// seedBinding reports whether tx records versions and, if so, plants key's
+// pre-transaction binding at the version floor when its chain is empty.
 // Callers hold key's abstract lock, so the base read is stable.
-func (m *Map[K, V]) seedBinding(tx *stm.Tx, key K) {
-	if cur, ok := m.base.Get(key); ok {
-		m.obj.SeedVersion(tx, key, boost.Version{Present: true, Val: cur})
-	} else {
-		m.obj.SeedVersion(tx, key, boost.Version{Present: false})
+func (m *Map[K, V]) seedBinding(tx *stm.Tx, key K) bool {
+	live := m.vers.Live(tx)
+	if live && m.vers.NeedsSeed(key) {
+		cur, ok := m.base.Get(key)
+		m.vers.Seed(tx, key, ok, cur)
 	}
+	return live
 }
 
 // Delete removes key, returning its value and whether it was present.
@@ -99,20 +102,18 @@ func (m *Map[K, V]) seedBinding(tx *stm.Tx, key K) {
 func (m *Map[K, V]) Delete(tx *stm.Tx, key K) (V, bool) {
 	if m.obj.Lazy() {
 		lg, old, existed := m.lazyBinding(tx, key)
-		lg.Append(boost.LazyEntry[K]{Kind: boost.LazyDelete, Key: key})
+		lg.Append(boost.LazyEntry[K, V]{Kind: boost.LazyDelete, Key: key})
 		return old, existed
 	}
 	m.obj.Acquire(tx, boost.Key(key))
-	live := m.obj.VersioningLive(tx)
-	if live && m.obj.NeedsSeed(key) {
-		m.seedBinding(tx, key)
-	}
+	live := m.seedBinding(tx, key)
 	old, existed := m.base.Delete(key)
 	if existed {
 		m.undo.Log(tx, m, mapUndo[K, V]{key, old, true})
 		m.obj.Emit(tx, RedoRemove, key)
 		if live {
-			m.obj.RecordVersion(tx, key, boost.Version{Present: false})
+			var none V
+			m.vers.Record(tx, key, false, none)
 		}
 	}
 	return old, existed
@@ -125,13 +126,13 @@ func (m *Map[K, V]) Delete(tx *stm.Tx, key K) (V, bool) {
 // the key's version chain at the pinned sequence number with no lock demand
 // (see Set.Contains for the chain-miss double-check argument).
 func (m *Map[K, V]) Get(tx *stm.Tx, key K) (V, bool) {
-	if tx.ReadOnly() && m.obj.Versioned() {
-		if v, ok := m.obj.VersionAt(key, tx.SnapshotSeq()); ok {
-			return versionVal[V](v)
+	if tx.ReadOnly() && m.vers.Enabled() {
+		if v, ok := m.vers.At(key, tx.SnapshotSeq()); ok {
+			return v.State, v.Present
 		}
 		cur, hit := m.base.Get(key)
-		if v, ok := m.obj.VersionAt(key, tx.SnapshotSeq()); ok {
-			return versionVal[V](v)
+		if v, ok := m.vers.At(key, tx.SnapshotSeq()); ok {
+			return v.State, v.Present
 		}
 		return cur, hit
 	}
@@ -161,29 +162,14 @@ func (m *Map[K, V]) Update(tx *stm.Tx, key K, fn func(V, bool) V) {
 // lazyBinding returns the transaction's current view of key's binding: the
 // pending log's latest word, or, on first touch, an unlocked base read
 // recorded as the key's observation for commit-time validation.
-func (m *Map[K, V]) lazyBinding(tx *stm.Tx, key K) (*boost.LazyLog[K], V, bool) {
-	lg := m.obj.PendingLog(tx, m)
+func (m *Map[K, V]) lazyBinding(tx *stm.Tx, key K) (*boost.LazyLog[K, V], V, bool) {
+	lg := boost.PendingLog(m.obj, tx, m)
 	val, ok, known := lg.Binding(key)
 	if !known {
-		cur, exists := m.base.Get(key)
-		lg.ObserveBinding(key, cur, exists)
-		return lg, cur, exists
+		val, ok = m.base.Get(key)
+		lg.ObserveBinding(key, val, ok)
 	}
-	if !ok {
-		var zero V
-		return lg, zero, false
-	}
-	return lg, val.(V), true
-}
-
-// versionVal unboxes a map version into the spec's (value, present) answer
-// shape.
-func versionVal[V any](v boost.Version) (V, bool) {
-	if !v.Present {
-		var zero V
-		return zero, false
-	}
-	return v.Val.(V), true
+	return lg, val, ok
 }
 
 // Base returns the underlying linearizable map for quiescent inspection.
@@ -192,3 +178,6 @@ func (m *Map[K, V]) Base() BaseMap[K, V] { return m.base }
 // Engine returns the kernel object executing this map's descriptors, for
 // tests and introspection.
 func (m *Map[K, V]) Engine() *boost.Object[K] { return m.obj }
+
+// Versions returns the map's version store, for tests.
+func (m *Map[K, V]) Versions() *boost.Versions[K, V] { return &m.vers }

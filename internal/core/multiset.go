@@ -15,6 +15,7 @@ type Multiset[K comparable] struct {
 	base *hashset.MultiSet[K]
 	obj  *boost.Object[K]
 	undo boost.Undo[keyUndo[K]]
+	vers boost.Versions[K, int64]
 }
 
 // ApplyUndo takes back one occurrence the call added, or restores one it
@@ -29,7 +30,7 @@ func (m *Multiset[K]) ApplyUndo(e keyUndo[K]) {
 
 // NewMultiset returns a boosted bag over a striped concurrent multiset.
 func NewMultiset[K comparable]() *Multiset[K] {
-	return &Multiset[K]{base: hashset.NewMultiSet[K](), obj: boost.NewKeyed[K]().EnableVersions()}
+	return &Multiset[K]{base: hashset.NewMultiSet[K](), obj: boost.NewKeyed[K]()}
 }
 
 // Add inserts one occurrence of key and returns the resulting count.
@@ -39,28 +40,30 @@ func NewMultiset[K comparable]() *Multiset[K] {
 func (m *Multiset[K]) Add(tx *stm.Tx, key K) int {
 	if m.obj.Lazy() {
 		lg, count := m.lazyCount(tx, key)
-		lg.Append(boost.LazyEntry[K]{Kind: boost.LazyInc, Key: key, N: 1})
+		lg.Append(keyEntry[K]{Kind: boost.LazyInc, Key: key, N: 1})
 		return count + 1
 	}
 	m.obj.Acquire(tx, boost.Key(key))
 	m.undo.Log(tx, m, keyUndo[K]{key, true})
-	live := m.obj.VersioningLive(tx)
-	if live && m.obj.NeedsSeed(key) {
-		m.seedCount(tx, key)
-	}
+	live := m.seedCount(tx, key)
 	m.obj.Emit(tx, RedoAdd, key)
 	n := m.base.Add(key)
 	if live {
-		m.obj.RecordVersion(tx, key, boost.Version{Present: true, N: int64(n)})
+		m.vers.Record(tx, key, true, int64(n))
 	}
 	return n
 }
 
-// seedCount plants key's pre-transaction occurrence count at the version
-// floor. Callers hold key's abstract lock, so the base read is stable.
-func (m *Multiset[K]) seedCount(tx *stm.Tx, key K) {
-	c := int64(m.base.Count(key))
-	m.obj.SeedVersion(tx, key, boost.Version{Present: c > 0, N: c})
+// seedCount reports whether tx records versions and, if so, plants key's
+// pre-transaction occurrence count at the version floor when its chain is
+// empty. Callers hold key's abstract lock, so the base read is stable.
+func (m *Multiset[K]) seedCount(tx *stm.Tx, key K) bool {
+	live := m.vers.Live(tx)
+	if live && m.vers.NeedsSeed(key) {
+		c := int64(m.base.Count(key))
+		m.vers.Seed(tx, key, c > 0, c)
+	}
+	return live
 }
 
 // RemoveOne deletes one occurrence of key, reporting whether one existed.
@@ -73,14 +76,11 @@ func (m *Multiset[K]) RemoveOne(tx *stm.Tx, key K) bool {
 		if count <= 0 {
 			return false
 		}
-		lg.Append(boost.LazyEntry[K]{Kind: boost.LazyInc, Key: key, N: -1})
+		lg.Append(keyEntry[K]{Kind: boost.LazyInc, Key: key, N: -1})
 		return true
 	}
 	m.obj.Acquire(tx, boost.Key(key))
-	live := m.obj.VersioningLive(tx)
-	if live && m.obj.NeedsSeed(key) {
-		m.seedCount(tx, key)
-	}
+	live := m.seedCount(tx, key)
 	if !m.base.RemoveOne(key) {
 		return false
 	}
@@ -88,7 +88,7 @@ func (m *Multiset[K]) RemoveOne(tx *stm.Tx, key K) bool {
 	m.obj.Emit(tx, RedoRemove, key)
 	if live {
 		n := int64(m.base.Count(key))
-		m.obj.RecordVersion(tx, key, boost.Version{Present: n > 0, N: n})
+		m.vers.Record(tx, key, n > 0, n)
 	}
 	return true
 }
@@ -101,13 +101,13 @@ func (m *Multiset[K]) RemoveOne(tx *stm.Tx, key K) bool {
 // so the snapshot read needs no lock demand (see Set.Contains for the
 // chain-miss double-check argument).
 func (m *Multiset[K]) Count(tx *stm.Tx, key K) int {
-	if tx.ReadOnly() && m.obj.Versioned() {
-		if v, ok := m.obj.VersionAt(key, tx.SnapshotSeq()); ok {
-			return int(v.N)
+	if tx.ReadOnly() && m.vers.Enabled() {
+		if v, ok := m.vers.At(key, tx.SnapshotSeq()); ok {
+			return int(v.State)
 		}
 		n := m.base.Count(key)
-		if v, ok := m.obj.VersionAt(key, tx.SnapshotSeq()); ok {
-			return int(v.N)
+		if v, ok := m.vers.At(key, tx.SnapshotSeq()); ok {
+			return int(v.State)
 		}
 		return n
 	}
@@ -122,8 +122,8 @@ func (m *Multiset[K]) Count(tx *stm.Tx, key K) int {
 // lazyCount returns the transaction's current view of key's occurrence
 // count: the observed base count (recorded on first touch, validated at
 // commit) plus the pending delta.
-func (m *Multiset[K]) lazyCount(tx *stm.Tx, key K) (*boost.LazyLog[K], int) {
-	lg := m.obj.PendingLog(tx, m)
+func (m *Multiset[K]) lazyCount(tx *stm.Tx, key K) (*boost.LazyLog[K, struct{}], int) {
+	lg := boost.PendingLog(m.obj, tx, m)
 	obs, delta, known := lg.CountDelta(key)
 	if !known {
 		obs = int64(m.base.Count(key))
@@ -139,3 +139,6 @@ func (m *Multiset[K]) Base() *hashset.MultiSet[K] { return m.base }
 // Engine returns the kernel object executing this multiset's descriptors,
 // for tests and introspection.
 func (m *Multiset[K]) Engine() *boost.Object[K] { return m.obj }
+
+// Versions returns the multiset's version store, for tests.
+func (m *Multiset[K]) Versions() *boost.Versions[K, int64] { return &m.vers }

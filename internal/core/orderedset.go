@@ -37,14 +37,14 @@ func NewOrderedSet() *OrderedSet[int64] {
 // for any ordered key type.
 func NewOrderedSetOf[K cmp.Ordered]() *OrderedSet[K] {
 	sl := skiplist.NewOf[K]()
-	return &OrderedSet[K]{Set: Set[K]{base: sl, obj: boost.NewRanged[K]().EnableVersions()}, sl: sl}
+	return &OrderedSet[K]{Set: Set[K]{base: sl, obj: boost.NewRanged[K]()}, sl: sl}
 }
 
 // NewOrderedSetPartition is NewOrderedSetOf with an explicit stripe count
 // and key partition for the interval-lock table.
 func NewOrderedSetPartition[K cmp.Ordered](stripes int, p lockmgr.Partition[K]) *OrderedSet[K] {
 	sl := skiplist.NewOf[K]()
-	return &OrderedSet[K]{Set: Set[K]{base: sl, obj: boost.NewRangedPartition(stripes, p).EnableVersions()}, sl: sl}
+	return &OrderedSet[K]{Set: Set[K]{base: sl, obj: boost.NewRangedPartition(stripes, p)}, sl: sl}
 }
 
 // CountRange returns the number of keys in [lo, hi]. It demands the
@@ -70,13 +70,15 @@ func (s *OrderedSet[K]) CountRange(tx *stm.Tx, lo, hi K) int {
 }
 
 // KeysRange returns the keys in [lo, hi] in ascending order (early-flushing
-// pending lazy ops first, as CountRange does).
+// pending lazy ops first, as CountRange does). CountRange leaves the
+// interval locked, so the count it returns is exact for the walk that
+// follows and the result is allocated once, at its final size.
 func (s *OrderedSet[K]) KeysRange(tx *stm.Tx, lo, hi K) []K {
-	if s.obj.Lazy() {
-		s.obj.FlushPending(tx)
+	n := s.CountRange(tx, lo, hi)
+	if n == 0 {
+		return nil
 	}
-	s.obj.Acquire(tx, boost.Span(lo, hi))
-	var out []K
+	out := make([]K, 0, n)
 	s.sl.AscendRange(lo, hi, func(k K) bool { out = append(out, k); return true })
 	return out
 }

@@ -20,11 +20,15 @@ type Pool[T any] struct {
 	// allocs/frees count committed operations, for tests.
 	allocs, frees int64
 	undo          boost.Undo[T]
+	freed         boost.Disposables[T]
 }
 
 // ApplyUndo puts an object an aborted Alloc handed out back on the free
 // list.
 func (p *Pool[T]) ApplyUndo(v T) { p.putBack(v, true) }
+
+// Dispose puts an object a committed Free gave up on the free list.
+func (p *Pool[T]) Dispose(v T) { p.putBack(v, false) }
 
 // NewPool returns a pool that calls fresh when the free list is empty.
 func NewPool[T any](fresh func() T) *Pool[T] {
@@ -54,7 +58,7 @@ func (p *Pool[T]) Alloc(tx *stm.Tx) T {
 // is indistinguishable from a slow allocator, and batching frees is
 // explicitly sanctioned by the paper.
 func (p *Pool[T]) Free(tx *stm.Tx, v T) {
-	boost.OnCommit(tx, func() { p.putBack(v, false) })
+	p.freed.OnCommit(tx, p, v)
 }
 
 func (p *Pool[T]) putBack(v T, undoingAlloc bool) {

@@ -27,7 +27,12 @@ type Set[K comparable] struct {
 	base BaseSet[K]
 	obj  *boost.Object[K]
 	undo boost.Undo[keyUndo[K]]
+	vers boost.Versions[K, struct{}]
 }
+
+// keyEntry is the pending-log entry of the lazy set and multiset, whose
+// deferred ops carry a key and no value.
+type keyEntry[K comparable] = boost.LazyEntry[K, struct{}]
 
 // keyUndo is the undo record of the set and the multiset: the key an
 // effective call touched and which way it moved it (Fig. 1's inverses).
@@ -49,13 +54,13 @@ func (s *Set[K]) ApplyUndo(e keyUndo[K]) {
 // LockKey discipline). Transactions touching disjoint keys proceed fully in
 // parallel, synchronizing only inside the linearizable base object.
 func NewKeyedSet[K comparable](base BaseSet[K]) *Set[K] {
-	return &Set[K]{base: base, obj: boost.NewKeyed[K]().EnableVersions()}
+	return &Set[K]{base: base, obj: boost.NewKeyed[K]()}
 }
 
 // NewKeyedSetStripes is NewKeyedSet with an explicit lock-table stripe
 // count, exposed for the striping ablation benchmarks.
 func NewKeyedSetStripes[K comparable](base BaseSet[K], stripes int) *Set[K] {
-	return &Set[K]{base: base, obj: boost.NewKeyedStripes[K](stripes).EnableVersions()}
+	return &Set[K]{base: base, obj: boost.NewKeyedStripes[K](stripes)}
 }
 
 // NewKeyedSetWoundWait is NewKeyedSet with wound-wait contention management
@@ -72,7 +77,7 @@ func NewKeyedSetWoundWait[K comparable](base BaseSet[K]) *Set[K] {
 // on the per-key locks (lockmgr.Timeout, lockmgr.WoundWait, or a
 // lockmgr.NewDetect instance), overriding the system-wide choice.
 func NewKeyedSetPolicy[K comparable](base BaseSet[K], p lockmgr.ContentionPolicy) *Set[K] {
-	return &Set[K]{base: base, obj: boost.NewKeyedPolicy[K](lockmgr.DefaultStripes, p).EnableVersions()}
+	return &Set[K]{base: base, obj: boost.NewKeyedPolicy[K](lockmgr.DefaultStripes, p)}
 }
 
 // NewCoarseSet boosts base with a single abstract lock for all method calls
@@ -81,7 +86,7 @@ func NewKeyedSetPolicy[K comparable](base BaseSet[K], p lockmgr.ContentionPolicy
 // red-black tree, Fig. 9). The per-method specs below are unchanged: the
 // kernel maps the same key demands onto the coarse lock.
 func NewCoarseSet[K comparable](base BaseSet[K]) *Set[K] {
-	return &Set[K]{base: base, obj: boost.NewCoarse[K]().EnableVersions()}
+	return &Set[K]{base: base, obj: boost.NewCoarse[K]()}
 }
 
 // Add inserts key, reporting whether the set changed. Eager: inverse
@@ -94,21 +99,18 @@ func (s *Set[K]) Add(tx *stm.Tx, key K) bool {
 		if present {
 			return false
 		}
-		lg.Append(boost.LazyEntry[K]{Kind: boost.LazyAdd, Key: key})
+		lg.Append(keyEntry[K]{Kind: boost.LazyAdd, Key: key})
 		return true
 	}
 	s.obj.Acquire(tx, boost.Key(key))
-	live := s.obj.VersioningLive(tx)
-	if live && s.obj.NeedsSeed(key) {
-		s.obj.SeedVersion(tx, key, boost.Version{Present: s.base.Contains(key)})
-	}
+	live := s.seedPresence(tx, key)
 	if !s.base.Add(key) {
 		return false
 	}
 	s.undo.Log(tx, s, keyUndo[K]{key, true})
 	s.obj.Emit(tx, RedoAdd, key)
 	if live {
-		s.obj.RecordVersion(tx, key, boost.Version{Present: true})
+		s.vers.Record(tx, key, true, struct{}{})
 	}
 	return true
 }
@@ -122,21 +124,18 @@ func (s *Set[K]) Remove(tx *stm.Tx, key K) bool {
 		if !present {
 			return false
 		}
-		lg.Append(boost.LazyEntry[K]{Kind: boost.LazyRemove, Key: key})
+		lg.Append(keyEntry[K]{Kind: boost.LazyRemove, Key: key})
 		return true
 	}
 	s.obj.Acquire(tx, boost.Key(key))
-	live := s.obj.VersioningLive(tx)
-	if live && s.obj.NeedsSeed(key) {
-		s.obj.SeedVersion(tx, key, boost.Version{Present: s.base.Contains(key)})
-	}
+	live := s.seedPresence(tx, key)
 	if !s.base.Remove(key) {
 		return false
 	}
 	s.undo.Log(tx, s, keyUndo[K]{key, false})
 	s.obj.Emit(tx, RedoRemove, key)
 	if live {
-		s.obj.RecordVersion(tx, key, boost.Version{Present: false})
+		s.vers.Record(tx, key, false, struct{}{})
 	}
 	return true
 }
@@ -151,7 +150,7 @@ func (s *Set[K]) Remove(tx *stm.Tx, key K) bool {
 // was already there.
 func (s *Set[K]) AddQuiet(tx *stm.Tx, key K) {
 	if s.obj.Lazy() {
-		s.obj.PendingLog(tx, s).Append(boost.LazyEntry[K]{Kind: boost.LazyAdd, Key: key})
+		boost.PendingLog(s.obj, tx, s).Append(keyEntry[K]{Kind: boost.LazyAdd, Key: key})
 		return
 	}
 	s.Add(tx, key)
@@ -162,7 +161,7 @@ func (s *Set[K]) AddQuiet(tx *stm.Tx, key K) {
 // absent" upsert with no observation and no commit-time validation.
 func (s *Set[K]) RemoveQuiet(tx *stm.Tx, key K) {
 	if s.obj.Lazy() {
-		s.obj.PendingLog(tx, s).Append(boost.LazyEntry[K]{Kind: boost.LazyRemove, Key: key})
+		boost.PendingLog(s.obj, tx, s).Append(keyEntry[K]{Kind: boost.LazyRemove, Key: key})
 		return
 	}
 	s.Remove(tx, key)
@@ -182,12 +181,12 @@ func (s *Set[K]) RemoveQuiet(tx *stm.Tx, key K) {
 // to a base read double-checked against the chain, which is sound because
 // writers seed a key's pre-state before their first base mutation of it.
 func (s *Set[K]) Contains(tx *stm.Tx, key K) bool {
-	if tx.ReadOnly() && s.obj.Versioned() {
-		if v, ok := s.obj.VersionAt(key, tx.SnapshotSeq()); ok {
+	if tx.ReadOnly() && s.vers.Enabled() {
+		if v, ok := s.vers.At(key, tx.SnapshotSeq()); ok {
 			return v.Present
 		}
 		hit := s.base.Contains(key)
-		if v, ok := s.obj.VersionAt(key, tx.SnapshotSeq()); ok {
+		if v, ok := s.vers.At(key, tx.SnapshotSeq()); ok {
 			return v.Present
 		}
 		return hit
@@ -200,12 +199,23 @@ func (s *Set[K]) Contains(tx *stm.Tx, key K) bool {
 	return s.base.Contains(key)
 }
 
+// seedPresence reports whether tx records versions and, if so, plants key's
+// pre-transaction membership at the version floor when its chain is empty.
+// Callers hold key's abstract lock and have not yet mutated the base.
+func (s *Set[K]) seedPresence(tx *stm.Tx, key K) bool {
+	live := s.vers.Live(tx)
+	if live && s.vers.NeedsSeed(key) {
+		s.vers.Seed(tx, key, s.base.Contains(key), struct{}{})
+	}
+	return live
+}
+
 // lazyPresence returns the transaction's current view of key — the pending
 // log's latest word on it, or, on the transaction's first touch of the key,
 // an unlocked read of the base recorded as the key's observation (the entry
 // the commit-time drain re-validates under the abstract lock).
-func (s *Set[K]) lazyPresence(tx *stm.Tx, key K) (*boost.LazyLog[K], bool) {
-	lg := s.obj.PendingLog(tx, s)
+func (s *Set[K]) lazyPresence(tx *stm.Tx, key K) (*boost.LazyLog[K, struct{}], bool) {
+	lg := boost.PendingLog(s.obj, tx, s)
 	present, known := lg.Membership(key)
 	if !known {
 		present = s.base.Contains(key)
@@ -222,3 +232,7 @@ func (s *Set[K]) Base() BaseSet[K] { return s.base }
 // Engine returns the kernel object executing this set's descriptors, for
 // tests and introspection.
 func (s *Set[K]) Engine() *boost.Object[K] { return s.obj }
+
+// Versions returns the set's version store, for tests and the benchmark
+// ablation that disables it.
+func (s *Set[K]) Versions() *boost.Versions[K, struct{}] { return &s.vers }

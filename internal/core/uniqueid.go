@@ -14,8 +14,12 @@ import (
 // *post-abort disposable*: it may run arbitrarily late (or never, for a
 // counter-based pool) without any transaction observing the delay.
 type UniqueID struct {
-	base *idgen.Generator
+	base     *idgen.Generator
+	unassign boost.Disposables[int64]
 }
+
+// Dispose releases an ID an aborted transaction was assigned.
+func (u *UniqueID) Dispose(id int64) { u.base.ReleaseID(id) }
 
 // NewUniqueID returns a transactional unique-ID generator.
 func NewUniqueID() *UniqueID {
@@ -26,7 +30,7 @@ func NewUniqueID() *UniqueID {
 // aborts, the ID is released back to the pool after the abort completes.
 func (u *UniqueID) AssignID(tx *stm.Tx) int64 {
 	id := u.base.AssignID()
-	boost.OnAbort(tx, func() { u.base.ReleaseID(id) })
+	u.unassign.OnAbort(tx, u, id)
 	return id
 }
 

@@ -74,9 +74,8 @@ func TestLockMapHitAllocatesNothing(t *testing.T) {
 }
 
 // A blocked acquisition that ends without a grant allocates nothing once the
-// descriptor has a timer and a doom channel: both are reused across waits
-// (the lock's release-generation channel exists already, the holder never
-// having released). Each used to cost a time.NewTimer and a channel.
+// descriptor has a timer, a doom channel and a waiter: all three are reused
+// across waits. Each used to cost a time.NewTimer and a channel.
 func TestBlockedAcquireReusesTimerAndDoomChan(t *testing.T) {
 	sys := newSys()
 	l := NewOwnerLock()
@@ -94,4 +93,44 @@ func TestBlockedAcquireReusesTimerAndDoomChan(t *testing.T) {
 			}
 		})
 	})
+}
+
+// A blocked acquisition that is granted allocates nothing either, once both
+// descriptors have blocked before: the waiter parks on its descriptor's own
+// slot and the release signals it there, where each blocking round used to
+// make the channel the release would close. The cycle measured is the whole
+// hand-over — park, release, wake, grant, the woken transaction's commit.
+func TestBlockedThenGrantedAcquireAllocsZero(t *testing.T) {
+	sys := stm.NewSystem(stm.Config{LockTimeout: 5 * time.Second})
+	l := NewOwnerLock()
+	start, done := make(chan struct{}), make(chan error)
+	go func() {
+		take := func(tx *stm.Tx) error { l.Acquire(tx); return nil }
+		for range start {
+			done <- sys.Atomic(take)
+		}
+	}()
+	defer close(start)
+	hold := func(tx *stm.Tx) error {
+		l.Acquire(tx)
+		start <- struct{}{}
+		for parked(l) == 0 {
+			runtime.Gosched()
+		}
+		return nil // the commit releases the lock under the parked waiter
+	}
+	handOver := func() {
+		if err := sys.Atomic(hold); err != nil {
+			t.Error(err)
+		}
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 0; i < 8; i++ { // let every pooled descriptor block once
+		handOver()
+	}
+	if avg := testing.AllocsPerRun(100, handOver); avg != 0 {
+		t.Fatalf("a blocked-then-granted acquisition allocates %.2f objects, want 0", avg)
+	}
 }

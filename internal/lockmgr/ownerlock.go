@@ -63,12 +63,12 @@ func abortAcquireFailure(tx *stm.Tx) {
 // reentrant per transaction; release happens automatically when the owning
 // transaction commits or aborts (the runtime calls Unlock via stm.Unlocker).
 type OwnerLock struct {
-	mu     sync.Mutex // guards owner, gen and ownGen; never held across a wait
-	owner  *stm.Tx
-	gen    chan struct{}    // closed on each release to wake all waiters
-	ownGen chan struct{}    // closed on each ownership/registration change (waitOwnedBy)
-	policy ContentionPolicy // nil: consult the waiter's System (see effectivePolicy)
-	meter  *ContentionMeter // nil: no contention accounting (see meter.go)
+	mu       sync.Mutex // guards owner, waiters and siblings; never held across a wait
+	owner    *stm.Tx
+	waiters  waitList         // blocked acquisitions, all woken on each release
+	siblings waitList         // Parallel branches in waitOwnedBy, woken on each ownership/registration change
+	policy   ContentionPolicy // nil: consult the waiter's System (see effectivePolicy)
+	meter    *ContentionMeter // nil: no contention accounting (see meter.go)
 }
 
 // NewOwnerLock returns a fresh exclusive abstract lock. Blocked acquisitions
@@ -133,54 +133,34 @@ func (l *OwnerLock) TryAcquire(tx *stm.Tx, timeout time.Duration) bool {
 // ownership or registration changes made outside l.mu's critical section.
 func (l *OwnerLock) wakeOwnershipWaiters() {
 	l.mu.Lock()
-	l.notifyOwnershipLocked()
+	l.siblings.wakeAll()
 	l.mu.Unlock()
-}
-
-// notifyOwnershipLocked closes the current ownership-generation channel (if
-// any waiter armed one). Callers hold l.mu.
-func (l *OwnerLock) notifyOwnershipLocked() {
-	if l.ownGen != nil {
-		close(l.ownGen)
-		l.ownGen = nil
-	}
 }
 
 // waitOwnedBy waits until tx owns the lock (acquired by a sibling branch of
 // a multi-threaded transaction), or the registration disappears (the
 // sibling's acquisition failed), or tx is doomed, or the timeout expires.
-// It sleeps on the lock's ownership-generation channel rather than spinning:
-// every ownership or registration change closes the channel, so waiters wake
-// exactly when there is something new to observe.
+// It parks on the lock's sibling list rather than spinning: every ownership
+// or registration change wakes the list, so waiters wake exactly when there
+// is something new to observe.
 func (l *OwnerLock) waitOwnedBy(tx *stm.Tx, timeout time.Duration) bool {
-	timer := tx.WaitTimer(timeout)
-	defer timer.Stop()
-	doomed := tx.DoomChan()
+	b := blocked{tx: tx}
+	defer b.end()
 	for {
 		l.mu.Lock()
 		if l.owner == tx {
 			l.mu.Unlock()
 			return true
 		}
-		if l.ownGen == nil {
-			l.ownGen = make(chan struct{})
-		}
-		wait := l.ownGen
+		b.park(&l.mu, &l.siblings)
 		l.mu.Unlock()
-		// Check the registration only after capturing the wait channel:
-		// a sibling that unregisters after this check closes the channel
-		// we already hold, so the wakeup cannot be missed.
+		// Check the registration only after parking: a sibling that
+		// unregisters after this check wakes the list we are already on,
+		// so the wakeup cannot be missed.
 		if !tx.Holds(l) {
 			return false // sibling acquisition failed and unregistered
 		}
-		select {
-		case <-wait:
-			// Ownership or registration changed; re-examine.
-		case <-doomed:
-			return false // wounded while waiting
-		case <-tx.Done():
-			return false // caller's context cancelled
-		case <-timer.C:
+		if !b.sleep(timeout) {
 			return false
 		}
 	}
@@ -197,7 +177,7 @@ func (l *OwnerLock) acquire(tx *stm.Tx, timeout time.Duration) bool {
 	l.mu.Lock()
 	if l.owner == nil {
 		l.owner = tx
-		l.notifyOwnershipLocked()
+		l.siblings.wakeAll()
 		l.mu.Unlock()
 		return true
 	}
@@ -206,25 +186,10 @@ func (l *OwnerLock) acquire(tx *stm.Tx, timeout time.Duration) bool {
 }
 
 // acquireBlocked is acquire's wait loop, entered once the lock has been seen
-// owned: report the conflict, sleep until the next release, recontend.
+// owned: report the conflict, park until the next release, recontend.
 func (l *OwnerLock) acquireBlocked(tx *stm.Tx, timeout time.Duration) bool {
-	// The timer, its channel, and the doom channel are armed once for the
-	// whole wait (the budget spans all recontention rounds) and the timer
-	// is stopped on every exit path.
-	var timer *time.Timer
-	var expired <-chan time.Time
-	var doomed <-chan struct{}
-	var waitStart time.Time
-	cp := effectivePolicy(l.policy, tx)
-	conflicted := false
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-		if conflicted {
-			cp.OnWaitEnd(tx)
-		}
-	}()
+	b := blocked{tx: tx, cp: effectivePolicy(l.policy, tx)}
+	defer b.end()
 	for {
 		if tx.Doomed() {
 			return false // wounded while waiting: give way to our elder
@@ -232,18 +197,12 @@ func (l *OwnerLock) acquireBlocked(tx *stm.Tx, timeout time.Duration) bool {
 		l.mu.Lock()
 		if l.owner == nil {
 			l.owner = tx
-			l.notifyOwnershipLocked()
+			l.siblings.wakeAll()
 			l.mu.Unlock()
-			if timer != nil {
-				// Granted after blocking: feed the adaptive-timeout
-				// estimator with how long the wait actually took, and the
-				// per-lock meter (which may evaluate a granularity
-				// promotion on the fresh sample).
-				waited := time.Since(waitStart)
-				tx.System().ObserveWait(waited)
-				if l.meter != nil {
-					l.meter.observeWait(waited)
-				}
+			// Granted after blocking: the per-lock meter may evaluate a
+			// granularity promotion on the fresh sample.
+			if waited := b.granted(); l.meter != nil && b.armed() {
+				l.meter.observeWait(waited)
 			}
 			return true
 		}
@@ -255,41 +214,12 @@ func (l *OwnerLock) acquireBlocked(tx *stm.Tx, timeout time.Duration) bool {
 			// wants. Uncontended acquisitions never reach this branch.
 			l.meter.observeConflict()
 		}
-		if cp != nil {
-			// The blocking point: l.mu is held, so l.owner is the grant
-			// holder at this instant (it cannot release in between).
-			conflicted = true
-			cp.OnConflict(tx, l.owner)
-		}
-		if l.gen == nil {
-			l.gen = make(chan struct{})
-		}
-		wait := l.gen
+		// The blocking point: l.mu is held, so l.owner is the grant holder
+		// at this instant (it cannot release in between).
+		b.conflict(l.owner)
+		b.park(&l.mu, &l.waiters)
 		l.mu.Unlock()
-
-		if timer == nil {
-			timer = tx.WaitTimer(timeout)
-			expired = timer.C
-			doomed = tx.DoomChan()
-			waitStart = time.Now()
-		}
-		// Failpoint between DoomChan availability and the select: a Delay
-		// here widens the doom/wakeup race window; Timeout forces the
-		// expired path; Doom simulates a wound landing right now.
-		switch faultpoint.Hit(faultpoint.LockWait) {
-		case faultpoint.Timeout:
-			return false
-		case faultpoint.Doom:
-			tx.Doom()
-		}
-		select {
-		case <-wait:
-			// A release happened; recontend.
-		case <-doomed:
-			return false // wounded while waiting
-		case <-tx.Done():
-			return false // caller's context cancelled
-		case <-expired:
+		if !b.sleep(timeout) {
 			return false
 		}
 	}
@@ -312,11 +242,8 @@ func (l *OwnerLock) Unlock(tx *stm.Tx) {
 	l.mu.Lock()
 	if l.owner == tx {
 		l.owner = nil
-		if l.gen != nil {
-			close(l.gen)
-			l.gen = nil
-		}
-		l.notifyOwnershipLocked()
+		l.waiters.wakeAll()
+		l.siblings.wakeAll()
 	}
 	l.mu.Unlock()
 }

@@ -32,7 +32,7 @@ import (
 type RangeLock[K cmp.Ordered] struct {
 	mu       sync.Mutex
 	held     []heldInterval[K]
-	gen      chan struct{} // closed on each release to wake waiters
+	waiters  waitList      // blocked acquisitions, all woken on each release
 	spurious atomic.Uint64 // wakeups that re-checked and re-blocked
 }
 
@@ -52,16 +52,9 @@ func (r *RangeLock[K]) TryLockRange(tx *stm.Tx, lo, hi K, timeout time.Duration)
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	// One timer for the whole wait, armed on first block and stopped on
-	// every exit path — the one-shot discipline of OwnerLock.acquireBlocked
-	// (the timeout return used to leak a live timer).
-	var timer *time.Timer
-	var expired <-chan time.Time
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+	// No contention policy: the legacy manager reports no conflicts.
+	b := blocked{tx: tx}
+	defer b.end()
 	woke := false
 	for {
 		r.mu.Lock()
@@ -87,28 +80,21 @@ func (r *RangeLock[K]) TryLockRange(tx *stm.Tx, lo, hi K, timeout time.Duration)
 			tx.RegisterLock(r)
 			return true
 		}
-		if r.gen == nil {
-			r.gen = make(chan struct{})
-		}
-		wait := r.gen
+		b.park(&r.mu, &r.waiters)
 		r.mu.Unlock()
 
 		if woke {
-			// Woken by a release that did not clear our conflict: the
-			// single gen channel broadcasts every release to every waiter.
+			// Woken by a release that did not clear our conflict: the one
+			// waiter list hears every release.
 			r.spurious.Add(1)
 		}
-		if timer == nil {
-			timer = tx.WaitTimer(timeout)
-			expired = timer.C
+		if !b.armed() {
 			rangeTimerArms.Add(1)
 		}
-		select {
-		case <-wait:
-			woke = true
-		case <-expired:
+		if !b.sleep(timeout) {
 			return false
 		}
+		woke = true
 	}
 }
 
@@ -136,10 +122,7 @@ func (r *RangeLock[K]) Unlock(tx *stm.Tx) {
 		}
 	}
 	r.held = kept
-	if r.gen != nil {
-		close(r.gen)
-		r.gen = nil
-	}
+	r.waiters.wakeAll()
 	r.mu.Unlock()
 }
 

@@ -22,7 +22,7 @@ type RWOwnerLock struct {
 	mu      sync.Mutex
 	writer  *stm.Tx
 	readers map[*stm.Tx]struct{}
-	gen     chan struct{}
+	waiters waitList // blocked acquisitions, all woken on each release
 }
 
 // NewRWOwnerLock returns a fresh readers/writer abstract lock.
@@ -40,22 +40,8 @@ func (l *RWOwnerLock) TryRLock(tx *stm.Tx, timeout time.Duration) bool {
 	case faultpoint.Doom:
 		tx.Doom()
 	}
-	// Timer and doom channel are armed once for the whole wait and the
-	// timer stopped on every exit path (see acquireBlocked for the rationale).
-	var timer *time.Timer
-	var expired <-chan time.Time
-	var doomed <-chan struct{}
-	var waitStart time.Time
-	cp := effectivePolicy(nil, tx)
-	conflicted := false
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-		if conflicted {
-			cp.OnWaitEnd(tx)
-		}
-	}()
+	b := blocked{tx: tx, cp: effectivePolicy(nil, tx)}
+	defer b.end()
 	for {
 		l.mu.Lock()
 		if l.writer == tx {
@@ -70,25 +56,13 @@ func (l *RWOwnerLock) TryRLock(tx *stm.Tx, timeout time.Duration) bool {
 			l.readers[tx] = struct{}{}
 			l.mu.Unlock()
 			tx.RegisterLock(l)
-			if timer != nil {
-				tx.System().ObserveWait(time.Since(waitStart))
-			}
+			b.granted()
 			return true
 		}
-		if cp != nil {
-			conflicted = true
-			cp.OnConflict(tx, l.writer)
-		}
-		wait := l.waitGen()
+		b.conflict(l.writer)
+		b.park(&l.mu, &l.waiters)
 		l.mu.Unlock()
-
-		if timer == nil {
-			timer = tx.WaitTimer(timeout)
-			expired = timer.C
-			doomed = tx.DoomChan()
-			waitStart = time.Now()
-		}
-		if !l.waitRelease(tx, wait, doomed, expired) {
+		if !b.sleep(timeout) {
 			return false
 		}
 	}
@@ -103,20 +77,8 @@ func (l *RWOwnerLock) TryWLock(tx *stm.Tx, timeout time.Duration) bool {
 	case faultpoint.Doom:
 		tx.Doom()
 	}
-	var timer *time.Timer
-	var expired <-chan time.Time
-	var doomed <-chan struct{}
-	var waitStart time.Time
-	cp := effectivePolicy(nil, tx)
-	conflicted := false
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-		if conflicted {
-			cp.OnWaitEnd(tx)
-		}
-	}()
+	b := blocked{tx: tx, cp: effectivePolicy(nil, tx)}
+	defer b.end()
 	for {
 		l.mu.Lock()
 		if l.writer == tx {
@@ -135,64 +97,25 @@ func (l *RWOwnerLock) TryWLock(tx *stm.Tx, timeout time.Duration) bool {
 			}
 			l.mu.Unlock()
 			tx.RegisterLock(l)
-			if timer != nil {
-				tx.System().ObserveWait(time.Since(waitStart))
-			}
+			b.granted()
 			return true
 		}
-		if cp != nil {
-			conflicted = true
+		if b.cp != nil {
 			if l.writer != nil {
-				cp.OnConflict(tx, l.writer)
+				b.conflict(l.writer)
 			}
 			for r := range l.readers {
 				if r != tx {
-					cp.OnConflict(tx, r)
+					b.conflict(r)
 				}
 			}
 		}
-		wait := l.waitGen()
+		b.park(&l.mu, &l.waiters)
 		l.mu.Unlock()
-
-		if timer == nil {
-			timer = tx.WaitTimer(timeout)
-			expired = timer.C
-			doomed = tx.DoomChan()
-			waitStart = time.Now()
-		}
-		if !l.waitRelease(tx, wait, doomed, expired) {
+		if !b.sleep(timeout) {
 			return false
 		}
 	}
-}
-
-// waitRelease blocks until the next release (true) or until the wait should
-// be abandoned (false): timeout expiry, a doom, or context cancellation.
-func (l *RWOwnerLock) waitRelease(tx *stm.Tx, wait <-chan struct{}, doomed <-chan struct{}, expired <-chan time.Time) bool {
-	switch faultpoint.Hit(faultpoint.LockWait) {
-	case faultpoint.Timeout:
-		return false
-	case faultpoint.Doom:
-		tx.Doom()
-	}
-	select {
-	case <-wait:
-		return true
-	case <-doomed:
-		return false
-	case <-tx.Done():
-		return false
-	case <-expired:
-		return false
-	}
-}
-
-// waitGen returns the channel closed on the next release. Callers must hold mu.
-func (l *RWOwnerLock) waitGen() chan struct{} {
-	if l.gen == nil {
-		l.gen = make(chan struct{})
-	}
-	return l.gen
 }
 
 // RLock acquires shared mode with the system's default timeout, aborting tx
@@ -221,10 +144,7 @@ func (l *RWOwnerLock) Unlock(tx *stm.Tx) {
 	} else {
 		delete(l.readers, tx)
 	}
-	if l.gen != nil {
-		close(l.gen)
-		l.gen = nil
-	}
+	l.waiters.wakeAll()
 	l.mu.Unlock()
 }
 

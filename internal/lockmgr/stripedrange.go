@@ -89,7 +89,7 @@ type rangeStripe[K cmp.Ordered] struct {
 	mu      sync.Mutex
 	ivals   []stripedInterval[K] // granted intervals registered in this stripe
 	entries []keyEntry[K]        // installed keys sorted ascending, for range owner scans
-	gen     chan struct{}        // closed on each release affecting this stripe
+	waiters waitList             // blocked demands, all woken on each release affecting this stripe
 	_       [40]byte             // pad the stripe to two cache lines
 }
 
@@ -422,79 +422,40 @@ func (t *StripedRangeLock[K]) confirmKey(tx *stm.Tx, s *rangeStripe[K], l *Owner
 	if s.rmark.Load() == 0 {
 		return true
 	}
-	var timer *time.Timer
-	var expired <-chan time.Time
-	var doomed <-chan struct{}
-	var waitStart time.Time
-	cp := effectivePolicy(nil, tx)
-	conflicted := false
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-		if conflicted {
-			cp.OnWaitEnd(tx)
-		}
-	}()
+	b := blocked{tx: tx, cp: effectivePolicy(nil, tx)}
+	defer b.end()
 	woke := false
 	for {
 		if tx.Doomed() {
 			return false
 		}
 		s.mu.Lock()
-		blocked := false
+		covered := false
 		for i := range s.ivals {
 			e := &s.ivals[i]
 			if e.tx != tx && e.lo <= k && k <= e.hi {
-				blocked = true
-				if cp != nil {
-					// e.tx is pinned: deregistering needs s.mu.
-					conflicted = true
-					cp.OnConflict(tx, e.tx)
-				}
+				covered = true
+				b.conflict(e.tx) // e.tx is pinned: deregistering needs s.mu
 				break
 			}
 		}
-		if !blocked {
+		if !covered {
 			s.mu.Unlock()
-			if timer != nil {
-				tx.System().ObserveWait(time.Since(waitStart))
-			}
+			b.granted()
 			return true
 		}
-		if s.gen == nil {
-			s.gen = make(chan struct{})
-		}
-		wait := s.gen
+		b.park(&s.mu, &s.waiters)
 		s.mu.Unlock()
 		if woke {
 			t.spurious.Add(1)
 		}
-		if timer == nil {
-			// One timer for the whole wait, armed on first block — the
-			// same one-shot discipline as acquireBlocked.
-			timer = tx.WaitTimer(timeout)
-			expired = timer.C
-			doomed = tx.DoomChan()
-			waitStart = time.Now()
+		if !b.armed() {
 			rangeTimerArms.Add(1)
 		}
-		switch faultpoint.Hit(faultpoint.LockWait) {
-		case faultpoint.Timeout:
-			return false
-		case faultpoint.Doom:
-			tx.Doom()
-		}
-		select {
-		case <-wait:
-			woke = true
-		case <-doomed:
-			return false
-		case <-tx.Done():
-			return false
-		case <-expired:
+		if !b.sleep(timeout) {
 			return false
 		}
+		woke = true
 	}
 }
 
@@ -510,44 +471,28 @@ func (t *StripedRangeLock[K]) tryLockSpan(tx *stm.Tx, h *rangeHoldings[K], lo, h
 		t.spool.Put(buf)
 	}()
 
-	var timer *time.Timer
-	var expired <-chan time.Time
-	var doomed <-chan struct{}
-	var waitStart time.Time
-	cp := effectivePolicy(nil, tx)
-	conflicted := false
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-		if conflicted {
-			cp.OnWaitEnd(tx)
-		}
-	}()
+	b := blocked{tx: tx, cp: effectivePolicy(nil, tx)}
+	defer b.end()
 	woke := false
 	for {
 		if tx.Doomed() {
 			return false
 		}
-		var wait chan struct{}
+		parked := false
 		locked := 0
 		for _, si := range idx {
 			s := &t.stripes[si]
 			s.mu.Lock()
 			s.rmark.Add(1)
 			locked++
-			if s.conflictLocked(tx, lo, hi, cp) {
-				if cp != nil {
-					conflicted = true
-				}
-				if s.gen == nil {
-					s.gen = make(chan struct{})
-				}
-				wait = s.gen
+			if s.conflictLocked(tx, lo, hi, b.cp) {
+				b.conflicted = b.cp != nil
+				b.park(&s.mu, &s.waiters)
+				parked = true
 				break
 			}
 		}
-		if wait == nil {
+		if !parked {
 			for _, si := range idx {
 				s := &t.stripes[si]
 				s.ivals = append(s.ivals, stripedInterval[K]{lo: lo, hi: hi, tx: tx})
@@ -565,9 +510,7 @@ func (t *StripedRangeLock[K]) tryLockSpan(tx *stm.Tx, h *rangeHoldings[K], lo, h
 			if escalated {
 				t.escalations.Add(1)
 			}
-			if timer != nil {
-				tx.System().ObserveWait(time.Since(waitStart))
-			}
+			b.granted()
 			return true
 		}
 		for i := 0; i < locked; i++ {
@@ -578,38 +521,19 @@ func (t *StripedRangeLock[K]) tryLockSpan(tx *stm.Tx, h *rangeHoldings[K], lo, h
 		if woke {
 			t.spurious.Add(1)
 		}
-		if timer == nil {
-			timer = tx.WaitTimer(timeout)
-			expired = timer.C
-			doomed = tx.DoomChan()
-			waitStart = time.Now()
+		if !b.armed() {
 			rangeTimerArms.Add(1)
 		}
-		switch faultpoint.Hit(faultpoint.LockWait) {
-		case faultpoint.Timeout:
-			return false
-		case faultpoint.Doom:
-			tx.Doom()
-		}
-		select {
-		case <-wait:
-			woke = true
-		case <-doomed:
-			return false
-		case <-tx.Done():
-			return false
-		case <-expired:
+		if !b.sleep(timeout) {
 			return false
 		}
+		woke = true
 	}
 }
 
 func (t *StripedRangeLock[K]) wakeStripe(s *rangeStripe[K]) {
 	s.mu.Lock()
-	if s.gen != nil {
-		close(s.gen)
-		s.gen = nil
-	}
+	s.waiters.wakeAll()
 	s.mu.Unlock()
 }
 
@@ -657,10 +581,7 @@ func (t *StripedRangeLock[K]) Unlock(tx *stm.Tx) {
 			}
 			s.ivals = kept
 		}
-		if s.gen != nil {
-			close(s.gen)
-			s.gen = nil
-		}
+		s.waiters.wakeAll()
 		s.mu.Unlock()
 	})
 	h.reset()

@@ -35,9 +35,10 @@ type RedoOp struct {
 // it after releasing the transaction's locks and before the outcome is
 // released to the caller, so lock hold times stay short while the
 // acknowledgment still implies durability. A nil wait means the sink needs
-// no barrier (async or disabled modes). A non-nil error from wait marks
-// the transaction as committed in memory but not acknowledged durable;
-// Atomic surfaces it as ErrNotDurable.
+// no barrier (async or disabled modes); a non-nil one is called exactly
+// once, so a sink may recycle whatever it is bound to. A non-nil error from
+// wait marks the transaction as committed in memory but not acknowledged
+// durable; Atomic surfaces it as ErrNotDurable.
 type DurabilitySink interface {
 	Commit(txID uint64, ops []RedoOp) (wait func() error)
 }

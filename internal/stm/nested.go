@@ -102,12 +102,11 @@ func (tx *Tx) rollbackTo(sp savepoint) {
 	clear(tx.locks[sp.locks:])
 	tx.locks = tx.locks[:sp.locks]
 
-	childOnAbort := append([]func(){}, tx.onAbort[sp.onAbort:]...)
+	childOnAbort := append([]disposable{}, tx.onAbort[sp.onAbort:]...)
 	tx.atCommit = clearTail(tx.atCommit, sp.atCommit)
 	tx.onCommit = clearTail(tx.onCommit, sp.onCommit)
 	tx.onAbort = clearTail(tx.onAbort, sp.onAbort)
-	clear(tx.onValidate[sp.onValidate:])
-	tx.onValidate = tx.onValidate[:sp.onValidate]
+	tx.onValidate = clearTail(tx.onValidate, sp.onValidate)
 
 	// Lazy pending logs mirror tx.redo: the child's deferred ops leave
 	// with it. Logs the child attached are detached here and recycled
@@ -146,8 +145,8 @@ func (tx *Tx) rollbackTo(sp savepoint) {
 	for i := len(childLocks) - 1; i >= 0; i-- {
 		childLocks[i].Unlock(tx)
 	}
-	for _, f := range childOnAbort {
-		f()
+	for _, d := range childOnAbort {
+		d.run()
 	}
 	for _, a := range childLazy {
 		a.log.Recycle()

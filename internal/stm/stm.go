@@ -172,20 +172,21 @@ type Tx struct {
 	// reset between attempts, so each accessor observes a stable value.
 	parallel atomic.Bool
 
-	mu         sync.Mutex            // guards the state below only after escalation
-	undo       []uint32              // one entry per logged inverse: the slot of the stack holding its record (undo.go)
-	undoLogs   []undoAttach          // the typed undo stacks attached this attempt, by owner; slot i+1
-	undoFns    []func()              // slot 0, the descriptor's own stack: closures logged through Log
-	undoSlot   uint32                // the slot the open UndoBegin…UndoEnd bracket appends under
-	redo       []RedoOp              // forward ops for the durability sink (committed txs only)
-	redoBuf    []byte                // arena the redo ops' Data views point into (see RedoBegin)
-	lazy       []lazyAttach          // pending op logs of lazy boosted objects, drained at commit
-	locks      []Unlocker            // two-phase locks, released at commit/abort
-	lockIdx    map[Unlocker]struct{} // non-nil once len(locks) > lockSpill
-	atCommit   []func()              // run at the commit point, before lock release
-	onCommit   []func()              // disposable actions deferred to after commit
-	onAbort    []func()              // disposable actions deferred to after abort
-	onValidate []func() error        // pre-commit validation (rwstm read-set checks)
+	mu          sync.Mutex            // guards the state below only after escalation
+	undo        []uint32              // one entry per logged inverse: the slot of the stack holding its record (undo.go)
+	undoLogs    []undoAttach          // the typed undo stacks attached this attempt, by owner; slot i+1
+	undoFns     []func()              // slot 0, the descriptor's own stack: closures logged through Log
+	undoSlot    uint32                // the slot the open UndoBegin…UndoEnd bracket appends under
+	redo        []RedoOp              // forward ops for the durability sink (committed txs only)
+	redoBuf     []byte                // arena the redo ops' Data views point into (see RedoBegin)
+	lazy        []lazyAttach          // pending op logs of lazy boosted objects, drained at commit
+	locks       []Unlocker            // two-phase locks, released at commit/abort
+	lockIdx     map[Unlocker]struct{} // non-nil once len(locks) > lockSpill
+	atCommit    []func()              // run at the commit point, before lock release
+	onCommit    []disposable          // disposable actions deferred to after commit (dispose.go)
+	onAbort     []disposable          // disposable actions deferred to after abort
+	disposeLogs []disposeAttach       // the typed disposable stacks attached this attempt, by owner
+	onValidate  []func() error        // pre-commit validation (rwstm read-set checks)
 
 	ext map[any]any // extension slots for cooperating packages (e.g. rwstm)
 
@@ -232,6 +233,7 @@ type Tx struct {
 	doomClosed bool
 	abortCause error
 	waitTimer  *time.Timer // reused by blocked lock waits (see WaitTimer)
+	waiter     Waiter      // reused by blocked lock waits (see LockWaiter)
 
 	// durErr records a failed durability barrier: the attempt committed in
 	// memory but was never acknowledged durable. Written and read only by
@@ -407,6 +409,33 @@ func (tx *Tx) WaitTimer(d time.Duration) *time.Timer {
 	return tx.waitTimer
 }
 
+// Waiter is the wake-up slot of one blocked abstract-lock wait. The lock
+// being waited for links it into its waiter list under the lock's own mutex
+// and, on release, unlinks it and sends on C without blocking. C holds one
+// token, so a release landing between the registration and the waiter's
+// select is kept, not lost; a token nobody received (the wait gave up as the
+// release fired) stays behind and must be drained before the next wait.
+type Waiter struct {
+	C    chan struct{}
+	Next *Waiter // the lock's waiter list; guarded by the lock's mutex
+}
+
+// LockWaiter returns the slot a blocked lock wait of tx parks on. Like the
+// wait timer it is descriptor-resident — a single-goroutine transaction
+// waits for one lock at a time, so blocking allocates nothing once the
+// descriptor has blocked before — while Parallel branches, which can block
+// concurrently, each get a fresh one. The caller must have unlinked it from
+// every waiter list before its acquisition returns.
+func (tx *Tx) LockWaiter() *Waiter {
+	if tx.Shared() {
+		return &Waiter{C: make(chan struct{}, 1)}
+	}
+	if tx.waiter.C == nil {
+		tx.waiter.C = make(chan struct{}, 1)
+	}
+	return &tx.waiter
+}
+
 // Abort aborts the transaction with the given cause and unwinds the calling
 // goroutine back to Atomic, which rolls back and retries. A nil cause is
 // replaced by ErrAborted. Abort never returns.
@@ -460,7 +489,7 @@ func (tx *Tx) OnCommit(f func()) {
 		panic("stm: OnCommit in read-only transaction")
 	}
 	tx.stateLock()
-	tx.onCommit = append(tx.onCommit, f)
+	tx.onCommit = append(tx.onCommit, disposable{fn: f})
 	tx.stateUnlock()
 }
 
@@ -471,7 +500,7 @@ func (tx *Tx) OnAbort(f func()) {
 		panic("stm: OnAbort in read-only transaction")
 	}
 	tx.stateLock()
-	tx.onAbort = append(tx.onAbort, f)
+	tx.onAbort = append(tx.onAbort, disposable{fn: f})
 	tx.stateUnlock()
 }
 
@@ -603,18 +632,13 @@ func (tx *Tx) releaseLocks() {
 	tx.lockIdx = nil
 }
 
-// clearFuncs zeroes a closure slice and truncates it, retaining capacity
-// without pinning the closures (or anything they capture) in the pool.
-func clearFuncs(fns []func()) []func() {
-	clear(fns)
-	return fns[:0]
-}
-
-// clearTail zeroes fns[n:] and truncates to n — clearFuncs for a nested
-// savepoint rollback, which discards only the child's suffix.
-func clearTail(fns []func(), n int) []func() {
-	clear(fns[n:])
-	return fns[:n]
+// clearTail zeroes s[n:] and truncates to n, retaining capacity without
+// pinning the closures (or anything they capture) in the pool: n is 0 at the
+// end of an attempt, a savepoint for a nested rollback, which discards only
+// the child's suffix.
+func clearTail[T any](s []T, n int) []T {
+	clear(s[n:])
+	return s[:n]
 }
 
 // rollback runs the undo log in reverse, then releases locks, then runs
@@ -633,14 +657,9 @@ func (tx *Tx) rollback() {
 	tx.clearDisc() // discipline latches die with the footprint they pinned
 	tx.status.Store(int32(Aborted))
 	faultpoint.Hit(faultpoint.StmPostAbort) // delay window before disposables
-	for _, f := range tx.onAbort {
-		f()
-	}
-	tx.onAbort = clearFuncs(tx.onAbort)
-	tx.onCommit = clearFuncs(tx.onCommit)
-	tx.atCommit = clearFuncs(tx.atCommit)
-	clear(tx.onValidate)
-	tx.onValidate = tx.onValidate[:0]
+	tx.settle(false)
+	tx.atCommit = clearTail(tx.atCommit, 0)
+	tx.onValidate = clearTail(tx.onValidate, 0)
 }
 
 // lockFreeReader reports whether the transaction is a snapshot reader that
@@ -682,8 +701,7 @@ func (tx *Tx) commit() bool {
 			return false
 		}
 	}
-	clear(tx.onValidate)
-	tx.onValidate = tx.onValidate[:0]
+	tx.onValidate = clearTail(tx.onValidate, 0)
 	// Commit-time drain of lazy boosted objects: fuse each pending log,
 	// acquire the surviving ops' abstract locks for the commit instant,
 	// re-validate optimistic reads, and apply. Runs before the Committed
@@ -702,7 +720,7 @@ func (tx *Tx) commit() bool {
 	for _, f := range tx.atCommit {
 		f()
 	}
-	tx.atCommit = clearFuncs(tx.atCommit)
+	tx.atCommit = clearTail(tx.atCommit, 0)
 	tx.dropUndo()
 	// Durability: hand the redo stream to the sink while the abstract locks
 	// are still held, so conflicting transactions enter the log in
@@ -727,11 +745,7 @@ func (tx *Tx) commit() bool {
 			tx.durErr = err
 		}
 	}
-	for _, f := range tx.onCommit {
-		f()
-	}
-	tx.onCommit = clearFuncs(tx.onCommit)
-	tx.onAbort = clearFuncs(tx.onAbort)
+	tx.settle(true)
 	return true
 }
 

@@ -132,7 +132,7 @@ func (p *PreparedTx) Commit() error {
 	for _, f := range tx.atCommit {
 		f()
 	}
-	tx.atCommit = clearFuncs(tx.atCommit)
+	tx.atCommit = clearTail(tx.atCommit, 0)
 	tx.dropUndo()
 	tx.dropRedo()
 	tx.clearLazy()
@@ -144,11 +144,7 @@ func (p *PreparedTx) Commit() error {
 		// lock hold times stay independent of disk latency.
 		derr = wait()
 	}
-	for _, f := range tx.onCommit {
-		f()
-	}
-	tx.onCommit = clearFuncs(tx.onCommit)
-	tx.onAbort = clearFuncs(tx.onAbort)
+	tx.settle(true)
 	p.finish(true)
 	if derr != nil {
 		return fmt.Errorf("%w: %w", ErrNotDurable, derr)

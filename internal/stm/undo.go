@@ -126,7 +126,7 @@ func (tx *Tx) dropUndo() {
 	if 8*cap(tx.undoFns) > undoKeep {
 		tx.undoFns = nil
 	}
-	tx.undoFns = clearFuncs(tx.undoFns)
+	tx.undoFns = clearTail(tx.undoFns, 0)
 	for i := range tx.undoLogs {
 		tx.undoLogs[i].log.Recycle()
 		tx.undoLogs[i] = undoAttach{}

@@ -64,13 +64,6 @@ func (tx *Tx) VersionAttach(obj any, log VersionPending) {
 	tx.stateUnlock()
 }
 
-// VersionCount reports how many version logs are attached (tests).
-func (tx *Tx) VersionCount() int {
-	tx.stateLock()
-	defer tx.stateUnlock()
-	return len(tx.vers)
-}
-
 // flushVersions assigns the transaction its commit sequence number and
 // publishes every pending version record at it. Runs at the commit point —
 // after the Committed store, with every abstract lock still held — so for

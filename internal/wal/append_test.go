@@ -269,3 +269,33 @@ func TestBatchBufferCapped(t *testing.T) {
 		t.Fatalf("open batch kept %d bytes of capacity, cap is %d", c, batchBufKeep)
 	}
 }
+
+// TestGroupBarrierIsRecycledNotAllocated: the wait Commit hands out in Group
+// mode is a pooled barrier's own method value, returned to the pool by the
+// one call the runtime makes — appending and awaiting a record allocates
+// nothing (it was one closure per commit). The refusal of a frozen log
+// travels through the same barrier.
+func TestGroupBarrierIsRecycledNotAllocated(t *testing.T) {
+	l, b := openTestLog(t, Group)
+	ops := int64Op(b, 1, 7)
+	commit := func() {
+		if err := l.Commit(1, ops)(); err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 0; i < 8; i++ { // warm both batches and the barrier pool
+		commit()
+	}
+	if avg := testing.AllocsPerRun(100, commit); avg != 0 {
+		t.Fatalf("a Group-mode commit and its barrier allocate %.2f objects, want 0", avg)
+	}
+	l.crash()
+	if err := l.Commit(2, ops)(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("commit on a frozen log: %v, want ErrCrashed", err)
+	}
+	if w, err := l.Decide(3, 9, true); err != nil || w == nil {
+		t.Fatalf("Decide on a frozen log: wait %v, err %v", w != nil, err)
+	} else if err := w(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("decision barrier on a frozen log: %v, want ErrCrashed", err)
+	}
+}

@@ -102,7 +102,7 @@ func (l *Log) Prepare(txID, gid uint64, ops []stm.RedoOp) error {
 		return ErrCrashed
 	}
 	l.commits.Add(1)
-	if err := l.append(txID, meta{metaPrepare, gid}, ops, true)(); err != nil {
+	if err := l.appendForced(txID, meta{metaPrepare, gid}, ops); err != nil {
 		return err
 	}
 	if faultpoint.Hit(faultpoint.TwopcPostPrepare) == faultpoint.Crash {
@@ -131,11 +131,20 @@ func (l *Log) Decide(txID, gid uint64, commit bool) (wait func() error, err erro
 	if commit {
 		kind = metaCommit
 	}
-	w := l.append(txID, meta{kind, gid}, nil, commit && l.opts.Mode == Group)
+	lsn, err := l.append(txID, meta{kind, gid}, nil)
 	if !commit {
 		return nil, nil
 	}
-	return w, nil
+	return l.barrier(lsn, err, l.opts.Mode == Group), nil
+}
+
+// appendForced appends one record and waits for its fsync whatever the mode.
+func (l *Log) appendForced(txID uint64, m meta, ops []stm.RedoOp) error {
+	lsn, err := l.append(txID, m, ops)
+	if err != nil {
+		return err
+	}
+	return l.awaitDurable(lsn)
 }
 
 // InDoubtTx is one prepared-but-undecided transaction surviving in the log.
@@ -248,11 +257,11 @@ func (l *Log) ResolveInDoubt(gid uint64, commit bool) error {
 	l.twopc.mu.Unlock()
 
 	if !commit {
-		l.append(ad.rec.txID, meta{metaAbort, gid}, nil, false)
+		l.append(ad.rec.txID, meta{metaAbort, gid}, nil) // presumed-abort hygiene: best effort
 		ad.ptx.Abort()
 		return nil
 	}
-	if err := l.append(ad.rec.txID, meta{metaCommit, gid}, nil, true)(); err != nil {
+	if err := l.appendForced(ad.rec.txID, meta{metaCommit, gid}, nil); err != nil {
 		// The marker never became durable (the log froze again): put the
 		// transaction back so a later resolution pass can retry.
 		l.twopc.mu.Lock()

@@ -229,25 +229,68 @@ func (l *Log) Commit(txID uint64, ops []stm.RedoOp) (wait func() error) {
 		return nil
 	}
 	l.commits.Add(1)
-	return l.append(txID, meta{}, ops, l.opts.Mode == Group)
+	lsn, err := l.append(txID, meta{}, ops)
+	return l.barrier(lsn, err, l.opts.Mode == Group)
 }
 
-// append encodes one record into the open batch and kicks the writer. It is
-// the shared core of Commit, Prepare, and Decide: appenders never block on
-// backpressure — they only flip the Overloaded flag, which sheds *new*
-// transactions at admission (an appender here already executed and holds
-// abstract locks; sleeping it would spread the stall to its conflict set).
-// With barrier set, the returned wait blocks until the record is fsynced;
-// otherwise wait is nil. ops is read before append returns and not retained.
-func (l *Log) append(txID uint64, m meta, ops []stm.RedoOp, barrier bool) (wait func() error) {
+// barrier is the wait a committer is handed for one appended record: block
+// until lsn is fsynced, or report the error that refused the append. The
+// runtime takes a func() error, and a closure over the LSN was the one
+// allocation of every Group-mode commit; a barrier carries the LSN instead
+// and hands out wait — its own await, bound once when it is created — then
+// returns to the pool as the wait is called. That call must therefore
+// happen at most once, which is how the runtime (stm commit,
+// PreparedTx.Commit) uses it; an abandoned barrier is merely garbage.
+type barrier struct {
+	l    *Log
+	lsn  uint64
+	err  error
+	wait func() error
+}
+
+var barriers sync.Pool
+
+// barrier returns the wait for the record append put at lsn: nil when the
+// append succeeded and the mode asks for no fsync acknowledgment.
+func (l *Log) barrier(lsn uint64, err error, await bool) func() error {
+	if err == nil && !await {
+		return nil
+	}
+	b, _ := barriers.Get().(*barrier)
+	if b == nil {
+		b = new(barrier)
+		b.wait = b.await
+	}
+	b.l, b.lsn, b.err = l, lsn, err
+	return b.wait
+}
+
+func (b *barrier) await() error {
+	l, lsn, err := b.l, b.lsn, b.err
+	b.l, b.err = nil, nil
+	barriers.Put(b)
+	if err != nil {
+		return err
+	}
+	return l.awaitDurable(lsn)
+}
+
+// append encodes one record into the open batch, kicks the writer and
+// returns the record's LSN, or the error of a log that takes no more
+// records. It is the shared core of Commit, Prepare, and Decide: appenders
+// never block on backpressure — they only flip the Overloaded flag, which
+// sheds *new* transactions at admission (an appender here already executed
+// and holds abstract locks; sleeping it would spread the stall to its
+// conflict set). ops is read before append returns and not retained.
+func (l *Log) append(txID uint64, m meta, ops []stm.RedoOp) (lsn uint64, err error) {
 	l.mu.Lock()
 	if !l.recovered || l.closed || l.crashed.Load() {
-		err := l.stateErr()
+		err = l.stateErr()
 		l.mu.Unlock()
-		return func() error { return err }
+		return 0, err
 	}
 	b := l.cur
-	lsn := l.nextLSN
+	lsn = l.nextLSN
 	l.nextLSN++
 	start := len(b.buf)
 	b.buf = append(b.buf, make([]byte, frameHeader)...)
@@ -262,10 +305,7 @@ func (l *Log) append(txID uint64, m meta, ops []stm.RedoOp, barrier bool) (wait 
 	l.mu.Unlock()
 
 	l.kickWriter()
-	if !barrier {
-		return nil
-	}
-	return func() error { return l.awaitDurable(lsn) }
+	return lsn, nil
 }
 
 func (l *Log) kickWriter() {
